@@ -3,16 +3,18 @@
 #
 # Part of the stcfa project (PLDI'97 subtransitive CFA reproduction).
 #
-# Builds and tests three presets:
+# Builds and tests four presets:
 #
 #   1. default   - RelWithDebInfo, the tier-1 gate (all labels)
-#   2. asan      - AddressSanitizer + UBSan, unit + fuzz labels
-#   3. tsan      - ThreadSanitizer, unit label (the parallel query/kernel
+#   2. release   - Release (-O3), unit label: the optimiser's extra
+#                  warnings run under -Werror too
+#   3. asan      - AddressSanitizer + UBSan, unit + fuzz labels
+#   4. tsan      - ThreadSanitizer, unit label (the parallel query/kernel
 #                  paths are what TSan is here for; the fuzz sweep under
 #                  TSan is slow and adds no thread coverage)
 #
 # Usage: scripts/ci.sh [--fast]
-#   --fast  skip the sanitizer presets (tier-1 only)
+#   --fast  skip the release and sanitizer presets (tier-1 only)
 #
 #===------------------------------------------------------------------------===#
 
@@ -90,15 +92,18 @@ scripts/slice_smoke.sh ./build/src/driver/stcfa \
 # wiring (.clang-tidy at the repo root picks the check families).  Scoped
 # to the newest code so the stage stays fast; gated on the tool being
 # installed so the sweep still runs on minimal containers.
+SKIPPED=()
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "=== clang-tidy (bugprone, performance, concurrency) ==="
   cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
   clang-tidy -p build --quiet src/lint/*.cpp src/driver/Main.cpp
 else
   echo "=== clang-tidy not installed; skipping static-analysis stage ==="
+  SKIPPED+=(clang-tidy)
 fi
 
 if [[ "${FAST}" == 0 ]]; then
+  run_preset build-release "-DCMAKE_BUILD_TYPE=Release" -L unit
   # serve-smoke rides along under ASan/UBSan so the daemon's line reader,
   # fault fallbacks, and epoch teardown get leak/overflow coverage; the
   # unit tier already includes the in-process serve tests, which is what
@@ -108,4 +113,11 @@ if [[ "${FAST}" == 0 ]]; then
   run_preset build-tsan "-DSTCFA_SANITIZE=thread" -L unit
 fi
 
-echo "=== ci.sh: all presets green ==="
+if [[ "${FAST}" == 1 ]]; then
+  SKIPPED+=(release asan tsan)
+fi
+if [[ ${#SKIPPED[@]} == 0 ]]; then
+  echo "=== ci.sh: all presets green ==="
+else
+  echo "=== ci.sh: all run stages green; skipped: ${SKIPPED[*]} ==="
+fi

@@ -8,15 +8,16 @@
 /// The control-flow graph the paper's introduction motivates: "the
 /// control-flow graph of a program plays a central role in compilation".
 /// For higher-order programs it must be computed by CFA; this consumer
-/// derives it from the subtransitive graph:
+/// derives it from the frozen subtransitive graph:
 ///
 ///   * nodes are abstraction labels plus a synthetic `root` (top-level
 ///     code),
 ///   * there is an edge `f -> g` when some application site inside `f`'s
 ///     body may invoke `g`.
 ///
-/// Callee sets per site come from graph reachability (output-bound cost,
-/// like the paper's "all calls from all call sites" view); the derived
+/// Callee sets per site come from one batched reachability query over
+/// every call-site operator (output-bound cost, like the paper's "all
+/// calls from all call sites" view); the derived
 /// queries — reachable functions, dead functions, strongly connected
 /// (mutually recursive) groups — are then linear in the call graph.
 ///
@@ -26,8 +27,6 @@
 #define STCFA_APPS_CALLGRAPH_H
 
 #include "core/QueryEngine.h"
-#include "core/Reachability.h"
-#include "core/SubtransitiveGraph.h"
 
 #include <vector>
 
@@ -36,13 +35,12 @@ namespace stcfa {
 /// Monovariant call graph over abstraction labels.
 class CallGraph {
 public:
-  /// With \p Engine, callee sets come from one batched (optionally
-  /// parallel) `labelsOfBatch` over all call-site operators instead of
-  /// one linked-list DFS per site; results are identical.
-  explicit CallGraph(const SubtransitiveGraph &G,
-                     QueryEngine *Engine = nullptr);
+  /// Callee sets come from one batched (optionally parallel)
+  /// `labelsOfBatch` on \p Engine over all call-site operators.  \p M
+  /// must be the module the engine's snapshot was frozen from.
+  CallGraph(const Module &M, QueryEngine &Engine);
 
-  /// Builds the graph (callee sets via reachability per call site).
+  /// Builds the graph.
   void run();
 
   /// Caller index space: label indices, plus `rootIndex()` for top-level.
@@ -66,9 +64,8 @@ public:
   std::vector<LabelId> deadFunctions() const;
 
 private:
-  const SubtransitiveGraph &G;
   const Module &M;
-  QueryEngine *Engine;
+  QueryEngine &Engine;
   std::vector<DenseBitset> Callees;
   std::vector<std::vector<ExprId>> Sites;
   bool HasRun = false;

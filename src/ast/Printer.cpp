@@ -300,19 +300,31 @@ std::string stcfa::describeExpr(const Module &M, ExprId E) {
                                 "case",  "prim"};
   const Expr *Ex = M.expr(E);
   std::string Out = Names[static_cast<int>(Ex->kind())];
-  Out += "@" + std::to_string(E.index());
-  if (Ex->loc().isValid())
-    Out += "(" + std::to_string(Ex->loc().Line) + ":" +
-           std::to_string(Ex->loc().Col) + ")";
+  Out += '@';
+  Out += std::to_string(E.index());
+  if (Ex->loc().isValid()) {
+    Out += '(';
+    Out += std::to_string(Ex->loc().Line);
+    Out += ':';
+    Out += std::to_string(Ex->loc().Col);
+    Out += ')';
+  }
   return Out;
 }
 
 std::string stcfa::describeLabel(const Module &M, LabelId L) {
   const auto *Lam = cast<LamExpr>(M.expr(M.lamOfLabel(L)));
-  std::string Out = "fn#" + std::to_string(L.index()) + "(";
+  std::string Out = "fn#";
+  Out += std::to_string(L.index());
+  Out += '(';
   Out += M.text(M.var(Lam->param()).Name);
   SourceLoc Loc = M.expr(M.lamOfLabel(L))->loc();
-  if (Loc.isValid())
-    Out += "@" + std::to_string(Loc.Line) + ":" + std::to_string(Loc.Col);
-  return Out + ")";
+  if (Loc.isValid()) {
+    Out += '@';
+    Out += std::to_string(Loc.Line);
+    Out += ':';
+    Out += std::to_string(Loc.Col);
+  }
+  Out += ')';
+  return Out;
 }

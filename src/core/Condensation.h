@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Strongly-connected-component condensation of a query graph, shared by
-/// `Reachability::allLabelSets` (over the intrusive adjacency) and
+/// the reference BFS's `allLabelSets` (over the intrusive adjacency) and
 /// `FrozenGraph` (over the compacted CSR arrays, cached across queries).
 ///
 /// The computation is one iterative Tarjan pass.  Component ids are

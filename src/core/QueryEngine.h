@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The serving-path query engine: answers the Section 2 query problems
-/// over a `FrozenGraph` CSR snapshot, bit-for-bit equal to
-/// `Reachability` over the mutable graph but without pointer chasing,
+/// over a `FrozenGraph` CSR snapshot, bit-for-bit equal to the reference
+/// BFS over the mutable graph but without pointer chasing,
 /// and with batched entry points sharded across a fixed `ThreadPool`.
 ///
 /// Concurrency model: the CSR snapshot is read-only, so workers need no

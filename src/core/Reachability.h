@@ -16,6 +16,13 @@
 ///
 /// Queries never mutate the graph; run them after `build()` + `close()`.
 ///
+/// This is the *reference* implementation: a plain BFS over the mutable
+/// linked-list graph that never goes through freeze.  No production path
+/// calls it — after close every consumer reads the `FrozenGraph` — but
+/// the tests, the examples, and `bench_parallel`'s Table 1 compare the
+/// CSR query stack against it, so it must stay simple and obviously
+/// right rather than fast.
+///
 /// Aborted-graph contract: a graph whose close phase was stopped by a
 /// budget, deadline, or cancellation (`G.aborted()`) is incomplete, and
 /// reachability over it would be unsound (missing flows).  Queries on an

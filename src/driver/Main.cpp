@@ -25,7 +25,6 @@
 #include "ast/Printer.h"
 #include "core/FrozenGraph.h"
 #include "core/QueryEngine.h"
-#include "core/Reachability.h"
 #include "gen/Corpus.h"
 #include "gen/Generators.h"
 #include "testgen/ShapeGen.h"
@@ -84,7 +83,6 @@ struct Options {
   std::string TraceJson;
   /// Metrics snapshot export path; empty = no export.
   std::string MetricsJson;
-  bool Frozen = false;
   bool Stats = false;
   bool Run = false;
   bool Print = false;
@@ -174,8 +172,9 @@ int usage(const char *Argv0) {
       "                         dot | json\n"
       "  --congruence=<c>       none | bytype (default) | bybase\n"
       "  --policy=<p>           paper (default) | nodeexists | undemanded\n"
-      "  --frozen               serve queries from a frozen CSR snapshot\n"
-      "  --threads=<n>          query-engine worker lanes (implies --frozen)\n"
+      "  --frozen               accepted for compatibility; no effect (every\n"
+      "                         closed graph is frozen into CSR form)\n"
+      "  --threads=<n>          query-engine worker lanes\n"
       "  --kernel-threshold=<n> batch size above which batched queries use\n"
       "                         the word-parallel label-set kernel\n"
       "                         (0 disables the kernel; default 16)\n"
@@ -192,7 +191,7 @@ int usage(const char *Argv0) {
       "                         'off' conflicts with --timeout-ms)\n"
       "  --save-snapshot=<file> persist the frozen graph (plus name tables\n"
       "                         and the label-set kernel matrix) to an\n"
-      "                         mmap-able snapshot (implies --frozen)\n"
+      "                         mmap-able snapshot\n"
       "  --load-snapshot=<file> serve --query=labels|all-labels straight\n"
       "                         from a snapshot: no parse, no close, no\n"
       "                         freeze (docs/SNAPSHOT.md)\n"
@@ -275,26 +274,75 @@ std::string loadInput(const Options &Opts, bool &Ok) {
                      std::istreambuf_iterator<char>());
 }
 
-std::string labelName(const Module &M, LabelId L) {
-  const auto *Lam = cast<LamExpr>(M.expr(M.lamOfLabel(L)));
-  std::string Out = "fn#" + std::to_string(L.index()) + "(";
-  Out += M.text(M.var(Lam->param()).Name);
-  SourceLoc Loc = M.expr(M.lamOfLabel(L))->loc();
-  if (Loc.isValid())
-    Out += "@" + std::to_string(Loc.Line) + ":" + std::to_string(Loc.Col);
-  return Out + ")";
+Deadline deadlineOf(const Options &Opts) {
+  return Opts.TimeoutMs >= 0 ? Deadline::afterMillis(Opts.TimeoutMs)
+                             : Deadline::infinite();
 }
 
-std::string renderSet(const Module &M, const DenseBitset &Set) {
+/// Renders \p Set as `{name, ...}` over the label-name lookup \p Name:
+/// `describeLabel` on a live module, the persisted name table on a
+/// loaded snapshot.
+template <class LabelNameFn>
+std::string renderSet(const DenseBitset &Set, LabelNameFn &&Name) {
   std::string Out = "{";
   bool First = true;
   Set.forEach([&](uint32_t L) {
     if (!First)
       Out += ", ";
     First = false;
-    Out += labelName(M, LabelId(L));
+    Out += Name(L);
   });
-  return Out + "}";
+  Out += '}';
+  return Out;
+}
+
+/// The one `--query=all-labels` renderer: a line per occurrence whose set
+/// was answered (\p SetOf returns null otherwise) and is non-empty.
+template <class SetOfFn, class ExprNameFn, class LabelNameFn>
+void printAllLabels(uint32_t NumExprs, SetOfFn &&SetOf,
+                    ExprNameFn &&ExprName, LabelNameFn &&LabelName) {
+  for (uint32_t I = 0; I != NumExprs; ++I) {
+    const DenseBitset *Set = SetOf(I);
+    if (!Set || Set->empty())
+      continue;
+    std::printf("%-18s %s\n", std::string(ExprName(I)).c_str(),
+                renderSet(*Set, LabelName).c_str());
+  }
+}
+
+/// `--query=all-labels` over \p Engine as one batched call, so the sweep
+/// rides the label-set kernel above the dispatch threshold.  Under
+/// `--timeout-ms` the batch is governed: the engine polls \p D between
+/// shards and returns whatever completed, flagged per item.  Returns 3
+/// when a governed batch stopped early, else 0.
+template <class ExprNameFn, class LabelNameFn>
+int printEngineAllLabels(const Options &Opts, QueryEngine &Engine,
+                         uint32_t NumExprs, const Deadline &D,
+                         ExprNameFn &&ExprName, LabelNameFn &&LabelName) {
+  std::vector<ExprId> Es;
+  Es.reserve(NumExprs);
+  for (uint32_t I = 0; I != NumExprs; ++I)
+    Es.push_back(ExprId(I));
+  BatchOutcome Outcome;
+  std::vector<DenseBitset> Sets;
+  if (Opts.TimeoutMs >= 0) {
+    BatchControl BC;
+    BC.D = D;
+    Sets = Engine.labelsOfBatch(Es, BC, Outcome);
+  } else {
+    Sets = Engine.labelsOfBatch(Es);
+    Outcome.Done.assign(Es.size(), true);
+  }
+  printAllLabels(
+      NumExprs,
+      [&](uint32_t I) { return Outcome.Done[I] ? &Sets[I] : nullptr; },
+      ExprName, LabelName);
+  if (Opts.TimeoutMs < 0 || Outcome.S.isOk())
+    return 0;
+  std::fprintf(stderr, "note: batch stopped early: %s (%llu of %u answered)\n",
+               Outcome.S.toString().c_str(),
+               (unsigned long long)Outcome.Completed, NumExprs);
+  return 3;
 }
 
 /// Uniform label-set access across the analyses.
@@ -304,7 +352,6 @@ struct AnalysisResult {
   std::unique_ptr<SubtransitiveGraph> Graph;
   std::unique_ptr<PolyvariantCFA> Poly;
   std::unique_ptr<HybridCFA> Hybrid;
-  std::unique_ptr<Reachability> Reach;
   std::unique_ptr<FrozenGraph> Snapshot;
   std::unique_ptr<QueryEngine> Engine;
   double AnalysisMs = 0;
@@ -316,9 +363,7 @@ struct AnalysisResult {
       return Uni->labelSet(E);
     if (Hybrid)
       return Hybrid->labelSet(E);
-    if (Engine)
-      return Engine->labelsOf(E);
-    return Reach->labelsOf(E);
+    return Engine->labelsOf(E);
   }
   const SubtransitiveGraph *graph() const {
     if (Graph)
@@ -329,8 +374,8 @@ struct AnalysisResult {
       return Hybrid->graph();
     return nullptr;
   }
-  /// The frozen snapshot / query engine, when `--frozen` produced one
-  /// (the hybrid analysis always freezes on subtransitive success).
+  /// The frozen snapshot / query engine of a graph analysis; null for
+  /// the graph-free analyses (standard, unify, a degraded hybrid).
   const FrozenGraph *frozen() const {
     if (Snapshot)
       return Snapshot.get();
@@ -354,20 +399,6 @@ std::string snapshotConfigString(const Options &O) {
          ";policy=" + O.Policy;
 }
 
-/// `renderSet` over the snapshot's persisted label names (no Module).
-std::string renderSnapshotSet(const LoadedSnapshot &Snap,
-                              const DenseBitset &Set) {
-  std::string Out = "{";
-  bool First = true;
-  Set.forEach([&](uint32_t L) {
-    if (!First)
-      Out += ", ";
-    First = false;
-    Out += Snap.labelName(L);
-  });
-  return Out + "}";
-}
-
 /// Serves `--query=labels|all-labels` straight from a loaded snapshot:
 /// zero-copy query engine over the mapping, persisted kernel rows adopted
 /// as the batch backend, output byte-identical to the in-memory path.
@@ -389,80 +420,64 @@ int serveFromSnapshot(const Options &Opts, const LoadedSnapshot &Snap) {
                 F.numNodes(), (unsigned long long)F.numEdges(),
                 Engine.threads(), KernelAdopted ? "adopted" : "absent");
 
-  Deadline D = Opts.TimeoutMs >= 0 ? Deadline::afterMillis(Opts.TimeoutMs)
-                                   : Deadline::infinite();
+  auto LabelName = [&](uint32_t L) { return Snap.labelName(L); };
   int ExitCode = 0;
   Timer QueryTimer;
-  if (Opts.Query == "labels") {
+  if (Opts.Query == "labels")
     std::printf("L(root) = %s\n",
-                renderSnapshotSet(Snap, Engine.labelsOf(Snap.rootExpr()))
+                renderSet(Engine.labelsOf(Snap.rootExpr()), LabelName)
                     .c_str());
-  } else { // all-labels (the flag validation admits nothing else)
-    std::vector<ExprId> Es;
-    Es.reserve(F.numExprs());
-    for (uint32_t I = 0; I != F.numExprs(); ++I)
-      Es.push_back(ExprId(I));
-    BatchOutcome Outcome;
-    std::vector<DenseBitset> Sets;
-    if (Opts.TimeoutMs >= 0) {
-      BatchControl BC;
-      BC.D = D;
-      Sets = Engine.labelsOfBatch(Es, BC, Outcome);
-    } else {
-      Sets = Engine.labelsOfBatch(Es);
-      Outcome.Done.assign(Es.size(), true);
-    }
-    for (uint32_t I = 0; I != F.numExprs(); ++I) {
-      if (!Outcome.Done[I] || Sets[I].empty())
-        continue;
-      std::printf("%-18s %s\n", std::string(Snap.exprName(I)).c_str(),
-                  renderSnapshotSet(Snap, Sets[I]).c_str());
-    }
-    if (Opts.TimeoutMs >= 0 && !Outcome.S.isOk()) {
-      std::fprintf(stderr,
-                   "note: batch stopped early: %s (%llu of %u answered)\n",
-                   Outcome.S.toString().c_str(),
-                   (unsigned long long)Outcome.Completed, F.numExprs());
-      ExitCode = 3;
-    }
-  }
+  else // all-labels (the flag validation admits nothing else)
+    ExitCode = printEngineAllLabels(
+        Opts, Engine, F.numExprs(), deadlineOf(Opts),
+        [&](uint32_t I) { return Snap.exprName(I); }, LabelName);
   if (Opts.Stats)
     std::printf("queries: %.3f ms\n", QueryTimer.millis());
   return ExitCode;
 }
 
-/// `--load-snapshot --lint`: the frozen tables come from the mapping,
-/// the AST from reparsing the named input (already hash-verified against
-/// the snapshot header, so the two line up).
-int lintOverSnapshot(const Options &Opts, const LoadedSnapshot &Snap,
-                     const std::string &Source) {
+/// `--load-snapshot` with `--lint` or a slice mode: the frozen tables
+/// come from the mapping, the AST from reparsing the named input (already
+/// hash-verified against the snapshot header, so the two line up).  Null,
+/// after saying why, when the input does not parse or does not match.
+std::unique_ptr<Module> reparseForSnapshot(const Options &Opts,
+                                           const LoadedSnapshot &Snap,
+                                           const std::string &Source) {
   DiagnosticEngine Diags;
   std::unique_ptr<Module> M = parseProgram(Source, Diags);
   if (!M) {
     std::fprintf(stderr, "%s", Diags.render().c_str());
-    return 1;
+    return nullptr;
   }
   DiagnosticEngine InferDiags;
   (void)inferTypes(*M, InferDiags);
-  const FrozenGraph &F = Snap.frozen();
-  if (M->numExprs() != F.numExprs()) {
+  if (M->numExprs() != Snap.frozen().numExprs()) {
     std::fprintf(stderr,
                  "error: snapshot '%s' does not match the given input "
                  "(%u vs %u occurrences)\n",
-                 Opts.LoadSnapshot.c_str(), F.numExprs(), M->numExprs());
-    return 1;
+                 Opts.LoadSnapshot.c_str(), Snap.frozen().numExprs(),
+                 M->numExprs());
+    return nullptr;
   }
-  LintEngine Lint(*M, F);
+  return M;
+}
+
+/// `--lint`: runs the checker passes over \p F and renders the findings.
+/// Shared by the live pipeline and the `--load-snapshot` path, which
+/// differ only in where \p F comes from.
+int runLintMode(const Options &Opts, const Module &M, const FrozenGraph &F,
+                Deadline D, int ExitCode) {
+  LintEngine Lint(M, F);
   LintOptions LO;
   LO.Passes = Opts.LintPasses;
-  LO.D = Opts.TimeoutMs >= 0 ? Deadline::afterMillis(Opts.TimeoutMs)
-                             : Deadline::infinite();
+  LO.D = D;
   LO.Threads = Opts.Threads;
   Timer LintTimer;
   LintResult LR = Lint.run(LO);
-  std::string InputName = !Opts.InputFile.empty() && Opts.InputFile != "-"
-                              ? Opts.InputFile
-                              : "corpus:" + Opts.Corpus;
+  std::string InputName =
+      !Opts.InputFile.empty() && Opts.InputFile != "-" ? Opts.InputFile
+      : !Opts.Corpus.empty() ? "corpus:" + Opts.Corpus
+                             : "stdin";
   std::string Rendered = Opts.LintFormat == "json"
                              ? renderLintJson(LR, InputName)
                          : Opts.LintFormat == "sarif"
@@ -470,13 +485,14 @@ int lintOverSnapshot(const Options &Opts, const LoadedSnapshot &Snap,
                              : renderLintText(LR, InputName);
   std::fputs(Rendered.c_str(), stdout);
   if (Opts.Stats)
-    std::printf("lint: %u pass(es) over snapshot in %.3f ms\n",
+    std::printf("lint: %u pass(es) in %.3f ms\n",
                 (unsigned)LR.Reports.size(), LintTimer.millis());
+  // Error-severity findings outrank the governed partial-result code.
   if (LR.NumErrors > 0)
     return 7;
   if (LR.anyPartial() && Opts.governed())
     return 3;
-  return 0;
+  return ExitCode;
 }
 
 /// Resolves `--slice=expr@L:C` to the innermost occurrence at exactly
@@ -605,32 +621,6 @@ int runSliceModes(const Options &Opts, const Module &M, const FrozenGraph &F,
   return ExitCode;
 }
 
-/// `--load-snapshot` + a slice mode: frozen tables from the mapping, AST
-/// from reparsing the (hash-verified) named input — the `lintOverSnapshot`
-/// recipe.
-int sliceOverSnapshot(const Options &Opts, const LoadedSnapshot &Snap,
-                      const std::string &Source) {
-  DiagnosticEngine Diags;
-  std::unique_ptr<Module> M = parseProgram(Source, Diags);
-  if (!M) {
-    std::fprintf(stderr, "%s", Diags.render().c_str());
-    return 1;
-  }
-  DiagnosticEngine InferDiags;
-  (void)inferTypes(*M, InferDiags);
-  const FrozenGraph &F = Snap.frozen();
-  if (M->numExprs() != F.numExprs()) {
-    std::fprintf(stderr,
-                 "error: snapshot '%s' does not match the given input "
-                 "(%u vs %u occurrences)\n",
-                 Opts.LoadSnapshot.c_str(), F.numExprs(), M->numExprs());
-    return 1;
-  }
-  Deadline D = Opts.TimeoutMs >= 0 ? Deadline::afterMillis(Opts.TimeoutMs)
-                                   : Deadline::infinite();
-  return runSliceModes(Opts, *M, F, D, 0);
-}
-
 /// Builds the complete label-set kernel for \p F and persists graph +
 /// kernel to \p Path.  Shared by `--save-snapshot` and the cache-miss
 /// fill; \p Key lands in the header for loader-side verification.
@@ -708,7 +698,6 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr, "error: --save-snapshot expects a file path\n");
         return 2;
       }
-      Opts.Frozen = true;
     } else if (startsWith(A, "--load-snapshot=")) {
       Opts.LoadSnapshot = A.substr(16);
       if (Opts.LoadSnapshot.empty()) {
@@ -717,11 +706,9 @@ int main(int Argc, char **Argv) {
       }
     } else if (A == "--snapshot-cache") {
       Opts.SnapshotCache = true;
-      Opts.Frozen = true;
     } else if (startsWith(A, "--snapshot-cache=")) {
       Opts.SnapshotCache = true;
       Opts.SnapshotDir = A.substr(17);
-      Opts.Frozen = true;
       if (Opts.SnapshotDir.empty()) {
         std::fprintf(stderr,
                      "error: --snapshot-cache= expects a directory; plain "
@@ -778,7 +765,6 @@ int main(int Argc, char **Argv) {
       Opts.Threads = std::stoul(N);
       if (Opts.Threads == 0)
         Opts.Threads = 1;
-      Opts.Frozen = true;
     } else if (startsWith(A, "--kernel-threshold=")) {
       std::string N = A.substr(19);
       if (N.empty() || N.find_first_not_of("0123456789") != std::string::npos) {
@@ -840,9 +826,9 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr, "error: --metrics-json expects a file path\n");
         return 2;
       }
-    } else if (A == "--frozen")
-      Opts.Frozen = true;
-    else if (A == "--stats")
+    } else if (A == "--frozen") {
+      // No-op, kept for existing scripts: every closed graph is frozen.
+    } else if (A == "--stats")
       Opts.Stats = true;
     else if (A == "--run")
       Opts.Run = true;
@@ -975,8 +961,6 @@ int main(int Argc, char **Argv) {
                      Id.c_str(), Known.c_str());
         return 2;
       }
-    // Lint serves from the CSR snapshot; freezing is part of the mode.
-    Opts.Frozen = true;
   }
   if (Opts.sliceMode()) {
     // The three slice-subsystem modes each own stdout, so they are
@@ -1050,8 +1034,6 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     }
-    // Like lint, the subsystem serves from the CSR snapshot.
-    Opts.Frozen = true;
   }
   if (!Opts.LoadSnapshot.empty() || Opts.SnapshotCache) {
     // A served snapshot has no Module and no live graph, so everything
@@ -1217,14 +1199,18 @@ int main(int Argc, char **Argv) {
         return 1;
       }
     }
-    // `--lint` over the mapping: flag validation guaranteed an input was
-    // named, so VerifiedSource holds the (hash-checked) program text.
-    if (Opts.Lint)
-      return lintOverSnapshot(Opts, *Snap, VerifiedSource);
-    // Same recipe for the slice modes: the AST comes from the verified
-    // reparse, the frozen tables stay zero-copy.
-    if (Opts.sliceMode())
-      return sliceOverSnapshot(Opts, *Snap, VerifiedSource);
+    // `--lint` and the slice modes over the mapping: flag validation
+    // guaranteed an input was named, so VerifiedSource holds the
+    // (hash-checked) program text the AST is reparsed from.
+    if (Opts.Lint || Opts.sliceMode()) {
+      Deadline D = deadlineOf(Opts);
+      std::unique_ptr<Module> M =
+          reparseForSnapshot(Opts, *Snap, VerifiedSource);
+      if (!M)
+        return 1;
+      return Opts.Lint ? runLintMode(Opts, *M, Snap->frozen(), D, 0)
+                       : runSliceModes(Opts, *M, Snap->frozen(), D, 0);
+    }
     return serveFromSnapshot(Opts, *Snap);
   }
 
@@ -1316,8 +1302,7 @@ int main(int Argc, char **Argv) {
   // One absolute deadline covers the whole pipeline (analysis, freeze,
   // queries): later stages see only whatever wall-clock remains.
   GC.MaxNodes = Opts.CloseBudget;
-  Deadline D = Opts.TimeoutMs >= 0 ? Deadline::afterMillis(Opts.TimeoutMs)
-                                   : Deadline::infinite();
+  Deadline D = deadlineOf(Opts);
   int ExitCode = 0;
 
   AnalysisResult R;
@@ -1343,7 +1328,6 @@ int main(int Argc, char **Argv) {
                  ? 6
                  : 3;
     }
-    R.Reach = std::make_unique<Reachability>(R.Poly->graph());
   } else if (Opts.Analysis == "hybrid") {
     HybridOptions HO;
     HO.BudgetFactor = 8;
@@ -1383,36 +1367,28 @@ int main(int Argc, char **Argv) {
                    S.toString().c_str());
       return S == StatusCode::ResourceExhausted ? 6 : 3;
     }
-    R.Reach = std::make_unique<Reachability>(*R.Graph);
   } else {
     return usage(Argv[0]);
   }
   R.AnalysisMs = T.millis();
 
-  // `--frozen`: compact the graph into a CSR snapshot and serve every
-  // query through the (optionally parallel) engine.  The hybrid analysis
+  // Compact the closed graph into a CSR snapshot and serve every query
+  // through the (optionally parallel) engine.  The hybrid analysis
   // freezes internally on subtransitive success.
-  if (Opts.Frozen && R.graph() && !R.Hybrid) {
-    const SubtransitiveGraph *G = R.graph();
-    if (G->closed() && !G->aborted()) {
-      R.Snapshot = std::make_unique<FrozenGraph>(*G);
-      R.Engine = std::make_unique<QueryEngine>(*R.Snapshot, Opts.Threads);
-      if (Opts.KernelThreshold >= 0)
-        R.Engine->setKernelThreshold(
-            static_cast<size_t>(Opts.KernelThreshold));
-      if (Opts.KernelChunkRows >= 0)
-        R.Engine->setKernelChunkRows(
-            static_cast<uint32_t>(Opts.KernelChunkRows));
-    } else {
-      std::fprintf(stderr, "note: --frozen ignored (graph not closed or "
-                           "aborted)\n");
-    }
+  if (const SubtransitiveGraph *G = R.graph(); G && !R.Hybrid) {
+    R.Snapshot = std::make_unique<FrozenGraph>(*G);
+    R.Engine = std::make_unique<QueryEngine>(*R.Snapshot, Opts.Threads);
+    if (Opts.KernelThreshold >= 0)
+      R.Engine->setKernelThreshold(static_cast<size_t>(Opts.KernelThreshold));
+    if (Opts.KernelChunkRows >= 0)
+      R.Engine->setKernelChunkRows(
+          static_cast<uint32_t>(Opts.KernelChunkRows));
   }
 
   // `--save-snapshot` / the `--snapshot-cache` miss fill: persist the
   // fresh frozen graph (and its complete kernel matrix) for later warm
-  // loads.  Both imply --frozen, so R.Snapshot is set whenever the
-  // subtransitive/poly pipeline closed cleanly.
+  // loads.  R.Snapshot is set whenever the subtransitive/poly pipeline
+  // closed cleanly.
   if (!Opts.SaveSnapshot.empty() || (Opts.SnapshotCache && !CachePath.empty())) {
     if (!R.Snapshot || !R.Snapshot->status().isOk()) {
       std::fprintf(stderr, "error: cannot persist a snapshot: no frozen "
@@ -1490,154 +1466,78 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // `--lint`: run the checker passes over the frozen graph and render;
-  // replaces the query path entirely (validated above).
-  if (Opts.Lint) {
-    const SubtransitiveGraph *G = R.graph();
-    const FrozenGraph *F = R.frozen();
-    if (!G || !F || !F->status().isOk()) {
-      std::fprintf(stderr,
-                   "error: --lint requires a frozen subtransitive graph\n");
-      return 1;
-    }
-    LintEngine Lint(*G, *F);
-    LintOptions LO;
-    LO.Passes = Opts.LintPasses;
-    LO.D = D;
-    LO.Threads = Opts.Threads;
-    Timer LintTimer;
-    LintResult LR = Lint.run(LO);
-    std::string InputName =
-        !Opts.InputFile.empty() && Opts.InputFile != "-" ? Opts.InputFile
-        : !Opts.Corpus.empty() ? "corpus:" + Opts.Corpus
-                               : "stdin";
-    std::string Rendered = Opts.LintFormat == "json"
-                               ? renderLintJson(LR, InputName)
-                           : Opts.LintFormat == "sarif"
-                               ? renderLintSarif(LR, InputName)
-                               : renderLintText(LR, InputName);
-    std::fputs(Rendered.c_str(), stdout);
-    if (Opts.Stats)
-      std::printf("lint: %u pass(es) in %.3f ms\n",
-                  (unsigned)LR.Reports.size(), LintTimer.millis());
-    // Error-severity findings outrank the governed partial-result code.
-    if (LR.NumErrors > 0)
-      return 7;
-    if (LR.anyPartial() && Opts.governed())
-      return 3;
-    return ExitCode;
-  }
+  // `--lint` and `--slice` / `--dce` / `--export-deps` consume the frozen
+  // graph and replace the query path entirely.  Flag validation limits
+  // them to the subtransitive/poly analyses, which always freeze.
+  if (Opts.Lint)
+    return runLintMode(Opts, *M, *R.frozen(), D, ExitCode);
+  if (Opts.sliceMode())
+    return runSliceModes(Opts, *M, *R.frozen(), D, ExitCode);
 
-  // `--slice` / `--dce` / `--export-deps`: the slice subsystem consumes
-  // the frozen graph exactly like --lint, replacing the query path.
-  if (Opts.sliceMode()) {
-    const FrozenGraph *F = R.frozen();
-    if (!F || !F->status().isOk()) {
-      std::fprintf(stderr, "error: --slice/--dce/--export-deps require a "
-                           "frozen subtransitive graph\n");
-      return 1;
-    }
-    return runSliceModes(Opts, *M, *F, D, ExitCode);
-  }
-
+  auto LabelName = [&](uint32_t L) { return describeLabel(*M, LabelId(L)); };
+  auto ExprName = [&](uint32_t I) { return describeExpr(*M, ExprId(I)); };
+  // The graph-consuming queries read the frozen graph, which the
+  // graph-free analyses (standard, unify, a degraded hybrid) never build.
+  const FrozenGraph *F = R.frozen();
+  auto needsGraph = [&](const char *Query) {
+    if (!F)
+      std::fprintf(stderr, "error: %s needs a graph analysis\n", Query);
+    return !F;
+  };
   Timer QueryTimer;
   if (Opts.Query == "labels") {
-    std::printf("L(root) = %s\n", renderSet(*M, R.labels(M->root())).c_str());
+    std::printf("L(root) = %s\n",
+                renderSet(R.labels(M->root()), LabelName).c_str());
   } else if (Opts.Query == "all-labels") {
-    QueryEngine *E = R.engine();
-    if (E && Opts.TimeoutMs >= 0) {
-      // Governed batch: the engine polls the deadline between shards and
-      // returns whatever completed, flagged per item.
-      std::vector<ExprId> Es;
-      Es.reserve(M->numExprs());
-      for (uint32_t I = 0; I != M->numExprs(); ++I)
-        Es.push_back(ExprId(I));
-      BatchControl BC;
-      BC.D = D;
-      BatchOutcome Outcome;
-      std::vector<DenseBitset> Sets = E->labelsOfBatch(Es, BC, Outcome);
-      for (uint32_t I = 0; I != M->numExprs(); ++I) {
-        if (!Outcome.Done[I] || Sets[I].empty())
-          continue;
-        std::printf("%-18s %s\n", describeExpr(*M, ExprId(I)).c_str(),
-                    renderSet(*M, Sets[I]).c_str());
-      }
-      if (!Outcome.S.isOk()) {
-        std::fprintf(stderr,
-                     "note: batch stopped early: %s (%llu of %u answered)\n",
-                     Outcome.S.toString().c_str(),
-                     (unsigned long long)Outcome.Completed, M->numExprs());
-        ExitCode = 3;
-      }
-    } else if (E) {
-      // Ungoverned but engine-served: one batched call, so the full
-      // all-labels sweep rides the label-set kernel above the dispatch
-      // threshold instead of one BFS per occurrence.
-      std::vector<ExprId> Es;
-      Es.reserve(M->numExprs());
-      for (uint32_t I = 0; I != M->numExprs(); ++I)
-        Es.push_back(ExprId(I));
-      std::vector<DenseBitset> Sets = E->labelsOfBatch(Es);
-      for (uint32_t I = 0; I != M->numExprs(); ++I) {
-        if (Sets[I].empty())
-          continue;
-        std::printf("%-18s %s\n", describeExpr(*M, ExprId(I)).c_str(),
-                    renderSet(*M, Sets[I]).c_str());
-      }
+    if (QueryEngine *E = R.engine()) {
+      if (int Code = printEngineAllLabels(Opts, *E, M->numExprs(), D,
+                                          ExprName, LabelName))
+        ExitCode = Code;
     } else {
-      for (uint32_t I = 0; I != M->numExprs(); ++I) {
-        DenseBitset Set = R.labels(ExprId(I));
-        if (Set.empty())
-          continue;
-        std::printf("%-18s %s\n", describeExpr(*M, ExprId(I)).c_str(),
-                    renderSet(*M, Set).c_str());
-      }
+      DenseBitset Set;
+      printAllLabels(
+          M->numExprs(),
+          [&](uint32_t I) {
+            Set = R.labels(ExprId(I));
+            return &Set;
+          },
+          ExprName, LabelName);
     }
   } else if (Opts.Query == "effects") {
-    const SubtransitiveGraph *G = R.graph();
-    if (!G) {
-      std::fprintf(stderr, "error: effects needs a graph analysis\n");
+    if (needsGraph("effects"))
       return 1;
-    }
-    EffectsAnalysis Eff(*G, R.frozen());
+    EffectsAnalysis Eff(*M, *F);
     Eff.run();
     std::printf("%u side-effecting occurrences\n", Eff.numEffectful());
     for (uint32_t I = 0; I != M->numExprs(); ++I)
       if (Eff.isEffectful(ExprId(I)))
-        std::printf("  %s\n", describeExpr(*M, ExprId(I)).c_str());
+        std::printf("  %s\n", ExprName(I).c_str());
   } else if (Opts.Query == "called-once") {
-    const SubtransitiveGraph *G = R.graph();
-    if (!G) {
-      std::fprintf(stderr, "error: called-once needs a graph analysis\n");
+    if (needsGraph("called-once"))
       return 1;
-    }
-    CalledOnceAnalysis CO(*G, R.frozen());
+    CalledOnceAnalysis CO(*M, *F);
     CO.run();
     for (LabelId L : CO.calledOnce())
-      std::printf("called once: %s at %s\n", labelName(*M, L).c_str(),
+      std::printf("called once: %s at %s\n", describeLabel(*M, L).c_str(),
                   describeExpr(*M, CO.uniqueCallSite(L)).c_str());
   } else if (Opts.Query == "callgraph") {
-    const SubtransitiveGraph *G = R.graph();
-    if (!G) {
-      std::fprintf(stderr, "error: callgraph needs a graph analysis\n");
+    if (needsGraph("callgraph"))
       return 1;
-    }
-    CallGraph CG(*G, R.engine());
+    CallGraph CG(*M, *R.engine());
     CG.run();
     for (uint32_t Caller = 0; Caller != CG.numCallers(); ++Caller) {
       if (CG.calleesOf(Caller).empty())
         continue;
-      std::string Name = Caller == CG.rootIndex()
-                             ? "<top-level>"
-                             : labelName(*M, LabelId(Caller));
+      std::string Name =
+          Caller == CG.rootIndex() ? "<top-level>" : LabelName(Caller);
       std::printf("%s calls:", Name.c_str());
       CG.calleesOf(Caller).forEach([&](uint32_t L) {
-        std::printf(" %s", labelName(*M, LabelId(L)).c_str());
+        std::printf(" %s", LabelName(L).c_str());
       });
       std::printf("\n");
     }
     for (LabelId Dead : CG.deadFunctions())
-      std::printf("dead: %s\n", labelName(*M, Dead).c_str());
+      std::printf("dead: %s\n", describeLabel(*M, Dead).c_str());
   } else if (Opts.Query == "dead-code") {
     DeadCodeAwareCFA Dc(*M);
     Dc.run();
@@ -1647,12 +1547,12 @@ int main(int Argc, char **Argv) {
     std::printf("%u of %u occurrences are dead code\n", DeadExprs,
                 M->numExprs());
     for (LabelId Dead : Dc.deadFunctions())
-      std::printf("never called: %s\n", labelName(*M, Dead).c_str());
+      std::printf("never called: %s\n", describeLabel(*M, Dead).c_str());
     // Cross-check against the frozen engine when available: a function the
     // (over-approximating) subtransitive flow never calls must also be dead
     // under the liveness-gated analysis.
     if (QueryEngine *E = R.engine()) {
-      CallGraph CG(*R.graph(), E);
+      CallGraph CG(*M, *E);
       CG.run();
       uint32_t Agree = 0, Mismatch = 0;
       for (LabelId L : CG.deadFunctions()) {
@@ -1671,31 +1571,28 @@ int main(int Argc, char **Argv) {
                     Agree);
     }
   } else if (startsWith(Opts.Query, "klimited:")) {
-    const SubtransitiveGraph *G = R.graph();
-    if (!G) {
-      std::fprintf(stderr, "error: klimited needs a graph analysis\n");
+    if (needsGraph("klimited"))
       return 1;
-    }
     uint32_t K = std::stoul(Opts.Query.substr(9));
-    KLimitedCFA KL(*G, K, R.frozen());
+    KLimitedCFA KL(*M, *F, K);
     KL.run();
     for (uint32_t I = 0; I != M->numExprs(); ++I) {
-      const auto *A = dyn_cast<AppExpr>(M->expr(ExprId(I)));
-      if (!A)
+      if (!isa<AppExpr>(M->expr(ExprId(I))))
         continue;
       const LimitedSet &S = KL.ofCallSite(ExprId(I));
       std::string Callees;
       if (S.isMany()) {
         Callees = "many";
       } else {
-        for (uint32_t L : S.ids())
-          Callees += (Callees.empty() ? "" : ", ") +
-                     labelName(*M, LabelId(L));
+        for (uint32_t L : S.ids()) {
+          if (!Callees.empty())
+            Callees += ", ";
+          Callees += LabelName(L);
+        }
         if (Callees.empty())
           Callees = "none";
       }
-      std::printf("%-18s calls: %s\n", describeExpr(*M, ExprId(I)).c_str(),
-                  Callees.c_str());
+      std::printf("%-18s calls: %s\n", ExprName(I).c_str(), Callees.c_str());
     }
   } else {
     return usage(Argv[0]);

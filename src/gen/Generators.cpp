@@ -29,7 +29,9 @@ std::string stcfa::makeCubicFamily(int N) {
     Out += "let x" + S + " = b" + S + " (fs f" + S + ");\n";
     Out += "let y" + S + " = (bs b" + S + ") f" + S + ";\n";
   }
-  Out += "y" + std::to_string(N) + "\n";
+  Out += "y";
+  Out += std::to_string(N);
+  Out += "\n";
   return Out;
 }
 
@@ -43,7 +45,9 @@ std::string stcfa::makeJoinPointFamily(int N) {
     Out += "let g" + S + " = fn u" + S + " => u" + S + ";\n";
     Out += "let r" + S + " = f g" + S + ";\n";
   }
-  Out += "r" + std::to_string(N) + "\n";
+  Out += "r";
+  Out += std::to_string(N);
+  Out += "\n";
   return Out;
 }
 
@@ -97,7 +101,9 @@ std::string stcfa::makeDispatchFamily(int N) {
            " else g" + S + ";\n";
     Out += "let c" + S + " = d" + S + " " + S + ";\n";
   }
-  Out += "c" + std::to_string(N) + "\n";
+  Out += "c";
+  Out += std::to_string(N);
+  Out += "\n";
   return Out;
 }
 

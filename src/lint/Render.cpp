@@ -52,9 +52,16 @@ std::string locText(std::string_view InputName, SourceRange R) {
   std::string Out(InputName);
   if (!R.isValid())
     return Out;
-  Out += ":" + std::to_string(R.Begin.Line) + ":" + std::to_string(R.Begin.Col);
-  if (R.hasExtent())
-    Out += "-" + std::to_string(R.End.Line) + ":" + std::to_string(R.End.Col);
+  Out += ':';
+  Out += std::to_string(R.Begin.Line);
+  Out += ':';
+  Out += std::to_string(R.Begin.Col);
+  if (R.hasExtent()) {
+    Out += '-';
+    Out += std::to_string(R.End.Line);
+    Out += ':';
+    Out += std::to_string(R.End.Col);
+  }
   return Out;
 }
 

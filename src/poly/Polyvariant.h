@@ -61,7 +61,7 @@ struct PolyStats {
 
 /// Orchestrates the polyvariant analysis: builds the main graph with
 /// candidate def-use flow externalized, instantiates summaries, closes.
-/// Query the result through `graph()` with `Reachability` as usual.
+/// Freeze `graph()` and query it through a `QueryEngine` as usual.
 class PolyvariantCFA {
 public:
   explicit PolyvariantCFA(const Module &M, SubtransitiveConfig GraphConfig = {},
@@ -74,7 +74,7 @@ public:
   const PolyStats &stats() const { return Stats; }
 
 private:
-  /// Reachability among interface anchors plus the labels at each anchor.
+  /// Paths among interface anchors plus the labels at each anchor.
   struct Summary {
     /// One derivation step (dom, ran, or tuple field).
     struct Step {

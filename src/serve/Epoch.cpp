@@ -221,30 +221,21 @@ Status Epoch::lint(const std::vector<std::string> &Passes, const Deadline &D,
   LO.D = D;
   LO.Threads = Threads;
   std::lock_guard<std::mutex> Lock(Mu);
+  const Module *LM = M.get();
+  const FrozenGraph *LF = frozen();
   if (View.Frozen) {
     // A delta epoch serves lint over the spliced source through the lazy
     // full pipeline, so the findings are bit-exact with a fresh full
     // load of the same text (tests/serve_edit_test.cpp proves it).
-    const Module *LM = nullptr;
-    const FrozenGraph *LF = nullptr;
     if (Status S = sliceSubstrate(D, LM, LF); !S.isOk())
       return S;
-    LintEngine Lint(*LM, *LF);
-    Out = Lint.run(LO);
-    return Status::ok();
-  }
-  const FrozenGraph *F = frozen();
-  if (!F || !F->status().isOk())
+  } else if (!LF || !LF->status().isOk()) {
     return Status::failedPrecondition(
         "lint requires the subtransitive engine; this epoch degraded to " +
         std::string(engine()));
-  if (Snap) {
-    LintEngine Lint(*M, *F);
-    Out = Lint.run(LO);
-  } else {
-    LintEngine Lint(*Hybrid->graph(), *F);
-    Out = Lint.run(LO);
   }
+  LintEngine Lint(*LM, *LF);
+  Out = Lint.run(LO);
   return Status::ok();
 }
 

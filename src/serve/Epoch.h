@@ -152,7 +152,7 @@ private:
   // Mapped path (cache hit): the snapshot owns the tables, Q queries it.
   std::unique_ptr<LoadedSnapshot> Snap;
   std::unique_ptr<QueryEngine> MappedEngine;
-  // Delta path (edit): the view owns the detached frozen tables and the
+  // Delta path (edit): the view owns the self-contained frozen tables and the
   // canonical<->shadow id maps.  `DeltaSource` feeds the lazy full
   // pipeline (`DeltaM`/`DeltaHybrid`) that serves lint and slice.
   DeltaView View;

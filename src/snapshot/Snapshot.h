@@ -114,7 +114,7 @@ public:
   static std::unique_ptr<LoadedSnapshot> load(const std::string &Path,
                                               Status &Out);
 
-  /// The zero-copy query view (`hasSource()` is false).
+  /// The zero-copy query view over the mapping.
   const FrozenGraph &frozen() const { return *F; }
 
   /// Header fields.

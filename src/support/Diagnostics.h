@@ -81,11 +81,18 @@ public:
   std::string render() const {
     std::string Out;
     for (const Diagnostic &D : Diags) {
-      Out += std::to_string(D.Loc.Line) + ":" + std::to_string(D.Loc.Col);
-      if (D.Range.hasExtent())
-        Out += "-" + std::to_string(D.Range.End.Line) + ":" +
-               std::to_string(D.Range.End.Col);
-      Out += ": " + D.Message + "\n";
+      Out += std::to_string(D.Loc.Line);
+      Out += ':';
+      Out += std::to_string(D.Loc.Col);
+      if (D.Range.hasExtent()) {
+        Out += '-';
+        Out += std::to_string(D.Range.End.Line);
+        Out += ':';
+        Out += std::to_string(D.Range.End.Col);
+      }
+      Out += ": ";
+      Out += D.Message;
+      Out += '\n';
     }
     return Out;
   }

@@ -61,7 +61,9 @@ std::string makeWide(int N, Rng &R) {
     Out += "let a" + S + " = fs w" + S + ";\n";
     Out += "let r" + S + " = a" + S + " 0;\n";
   }
-  Out += "r" + num(N) + "\n";
+  Out += "r";
+  Out += num(N);
+  Out += "\n";
   return Out;
 }
 
@@ -70,9 +72,16 @@ std::string makeWide(int N, Rng &R) {
 /// length ~N with one component per level.
 std::string makeDeep(int N, Rng &) {
   std::string Out = "let f0 = fn x => x;\n";
-  for (int I = 1; I <= N; ++I)
-    Out += "let f" + num(I) + " = fn x => f" + num(I - 1) + " x;\n";
-  Out += "f" + num(N) + " 0\n";
+  for (int I = 1; I <= N; ++I) {
+    Out += "let f";
+    Out += num(I);
+    Out += " = fn x => f";
+    Out += num(I - 1);
+    Out += " x;\n";
+  }
+  Out += "f";
+  Out += num(N);
+  Out += " 0\n";
   return Out;
 }
 
@@ -87,7 +96,9 @@ std::string makeDiamond(int N, Rng &) {
     Out += "let r" + S + " = fn x => m" + P + " x;\n";
     Out += "let m" + S + " = fn x => l" + S + " (r" + S + " x);\n";
   }
-  Out += "m" + num(N) + " 0\n";
+  Out += "m";
+  Out += num(N);
+  Out += " 0\n";
   return Out;
 }
 
@@ -102,12 +113,19 @@ std::string makeSkewed(int N, Rng &R) {
     Out += "let s" + S + " = fn x => x;\n";
     Out += "let u" + S + " = j s" + S + ";\n";
   }
-  Out += "let d0 = u" + num(1 + static_cast<int>(R.below(
-                                    static_cast<uint32_t>(N)))) +
-         ";\n";
-  for (int I = 1; I <= N; ++I)
-    Out += "let d" + num(I) + " = fn x => d" + num(I - 1) + " x;\n";
-  Out += "d" + num(N) + " 0\n";
+  Out += "let d0 = u";
+  Out += num(1 + static_cast<int>(R.below(static_cast<uint32_t>(N))));
+  Out += ";\n";
+  for (int I = 1; I <= N; ++I) {
+    Out += "let d";
+    Out += num(I);
+    Out += " = fn x => d";
+    Out += num(I - 1);
+    Out += " x;\n";
+  }
+  Out += "d";
+  Out += num(N);
+  Out += " 0\n";
   return Out;
 }
 

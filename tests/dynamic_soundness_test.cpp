@@ -75,7 +75,8 @@ TEST_P(DynamicSoundness, AllAnalysesContainObservedFlows) {
   G.build();
   G.close();
   Reachability R(G);
-  KLimitedCFA KL(G, 3);
+  FrozenGraph F(G);
+  KLimitedCFA KL(*M, F, 3);
   KL.run();
   PolyvariantCFA Poly(*M);
   Poly.run();
@@ -135,9 +136,10 @@ TEST_P(DynamicAppSoundness, EffectsAndCalledOnceContainObservations) {
   SubtransitiveGraph G(*M);
   G.build();
   G.close();
-  EffectsAnalysis Eff(G);
+  FrozenGraph F(G);
+  EffectsAnalysis Eff(*M, F);
   Eff.run();
-  CalledOnceAnalysis CO(G);
+  CalledOnceAnalysis CO(*M, F);
   CO.run();
 
   // Every dynamically effectful expression must be flagged.

@@ -18,12 +18,14 @@
 #include "apps/EffectsAnalysis.h"
 #include "apps/KLimitedCFA.h"
 #include "analysis/DeadCodeAwareCFA.h"
+#include "analysis/StandardCFA.h"
 #include "core/Condensation.h"
 #include "core/FrozenGraph.h"
 #include "core/QueryEngine.h"
 #include "core/Reachability.h"
 #include "gen/Corpus.h"
 #include "gen/Generators.h"
+#include "lint/LintEngine.h"
 #include "support/ThreadPool.h"
 
 #include "TestUtil.h"
@@ -317,45 +319,62 @@ TEST(QueryEngine, SharedSnapshotIndependentEngines) {
 // Apps over the frozen snapshot
 //===----------------------------------------------------------------------===//
 
+// The apps read only the frozen graph; each test checks it against an
+// independent reference that never goes through freeze: the standard-CFA
+// effects pipeline, or per-site callee sets from `Reachability` over the
+// live graph.
+
+/// A corpus program built, closed, and frozen under the default config.
+struct FrozenProgram {
+  std::unique_ptr<Module> M;
+  std::unique_ptr<SubtransitiveGraph> G;
+  std::unique_ptr<FrozenGraph> F;
+
+  explicit FrozenProgram(const std::string &Source) {
+    M = parseMaybeInfer(Source);
+    EXPECT_TRUE(M);
+    if (!M)
+      return;
+    G = std::make_unique<SubtransitiveGraph>(*M);
+    G->build();
+    G->close();
+    F = std::make_unique<FrozenGraph>(*G);
+  }
+};
+
 TEST(FrozenApps, EffectsIdenticalWithAndWithoutSnapshot) {
   for (const CorpusProgram &P : corpusPrograms()) {
-    std::unique_ptr<Module> M = parseMaybeInfer(P.Source);
-    ASSERT_TRUE(M);
-    SubtransitiveGraph G(*M);
-    G.build();
-    G.close();
-    FrozenGraph F(G);
-    EffectsAnalysis Plain(G);
-    Plain.run();
-    EffectsAnalysis Csr(G, &F);
+    FrozenProgram FP(P.Source);
+    ASSERT_TRUE(FP.F);
+    EffectsAnalysis Csr(*FP.M, *FP.F);
     Csr.run();
-    EXPECT_EQ(Plain.numEffectful(), Csr.numEffectful()) << P.Name;
-    for (uint32_t I = 0; I != M->numExprs(); ++I)
-      EXPECT_EQ(Plain.isEffectful(ExprId(I)), Csr.isEffectful(ExprId(I)))
+    StandardCFA Std(*FP.M);
+    Std.run();
+    EffectsAnalysisRef Ref(*FP.M, Std);
+    Ref.run();
+    EXPECT_EQ(Csr.numEffectful(), Ref.numEffectful()) << P.Name;
+    for (uint32_t I = 0; I != FP.M->numExprs(); ++I)
+      EXPECT_EQ(Csr.isEffectful(ExprId(I)), Ref.isEffectful(ExprId(I)))
           << P.Name << " expr " << I;
   }
 }
-
 TEST(FrozenApps, KLimitedIdenticalWithAndWithoutSnapshot) {
   for (const CorpusProgram &P : corpusPrograms()) {
-    std::unique_ptr<Module> M = parseMaybeInfer(P.Source);
-    ASSERT_TRUE(M);
-    SubtransitiveGraph G(*M);
-    G.build();
-    G.close();
-    FrozenGraph F(G);
+    FrozenProgram FP(P.Source);
+    ASSERT_TRUE(FP.F);
+    Reachability R(*FP.G);
     for (uint32_t K : {1u, 3u}) {
-      KLimitedCFA Plain(G, K);
-      Plain.run();
-      KLimitedCFA Csr(G, K, &F);
+      KLimitedCFA Csr(*FP.M, *FP.F, K);
       Csr.run();
-      for (uint32_t I = 0; I != M->numExprs(); ++I) {
-        const LimitedSet &A = Plain.ofExpr(ExprId(I));
-        const LimitedSet &B = Csr.ofExpr(ExprId(I));
-        EXPECT_EQ(A.isMany(), B.isMany()) << P.Name << " expr " << I;
-        if (!A.isMany()) {
-          EXPECT_EQ(A.ids(), B.ids()) << P.Name << " expr " << I;
-        }
+      for (uint32_t I = 0; I != FP.M->numExprs(); ++I) {
+        DenseBitset Exact = R.labelsOf(ExprId(I));
+        const LimitedSet &S = Csr.ofExpr(ExprId(I));
+        EXPECT_EQ(S.isMany(), Exact.count() > K) << P.Name << " expr " << I;
+        if (S.isMany())
+          continue;
+        std::vector<uint32_t> Ids;
+        Exact.forEach([&](uint32_t L) { Ids.push_back(L); });
+        EXPECT_EQ(S.ids(), Ids) << P.Name << " expr " << I;
       }
     }
   }
@@ -363,22 +382,26 @@ TEST(FrozenApps, KLimitedIdenticalWithAndWithoutSnapshot) {
 
 TEST(FrozenApps, CalledOnceIdenticalWithAndWithoutSnapshot) {
   for (const CorpusProgram &P : corpusPrograms()) {
-    std::unique_ptr<Module> M = parseMaybeInfer(P.Source);
-    ASSERT_TRUE(M);
-    SubtransitiveGraph G(*M);
-    G.build();
-    G.close();
-    FrozenGraph F(G);
-    CalledOnceAnalysis Plain(G);
-    Plain.run();
-    CalledOnceAnalysis Csr(G, &F);
+    FrozenProgram FP(P.Source);
+    ASSERT_TRUE(FP.F);
+    CalledOnceAnalysis Csr(*FP.M, *FP.F);
     Csr.run();
-    for (uint32_t L = 0; L != M->numLabels(); ++L) {
-      EXPECT_EQ(Plain.countOf(LabelId(L)), Csr.countOf(LabelId(L)))
-          << P.Name << " label " << L;
-      if (Plain.countOf(LabelId(L)) == CalledOnceAnalysis::CallCount::Once) {
-        EXPECT_EQ(Plain.uniqueCallSite(LabelId(L)),
-                  Csr.uniqueCallSite(LabelId(L)))
+    // Brute force: the application sites whose operator may evaluate to
+    // each label.
+    Reachability R(*FP.G);
+    std::vector<std::vector<ExprId>> SitesOf(FP.M->numLabels());
+    for (uint32_t I = 0; I != FP.M->numExprs(); ++I)
+      if (const auto *A = dyn_cast<AppExpr>(FP.M->expr(ExprId(I))))
+        R.labelsOf(A->fn()).forEach(
+            [&](uint32_t L) { SitesOf[L].push_back(ExprId(I)); });
+    for (uint32_t L = 0; L != FP.M->numLabels(); ++L) {
+      CalledOnceAnalysis::CallCount Want =
+          SitesOf[L].empty()       ? CalledOnceAnalysis::CallCount::Never
+          : SitesOf[L].size() == 1 ? CalledOnceAnalysis::CallCount::Once
+                                   : CalledOnceAnalysis::CallCount::Many;
+      EXPECT_EQ(Csr.countOf(LabelId(L)), Want) << P.Name << " label " << L;
+      if (Want == CalledOnceAnalysis::CallCount::Once) {
+        EXPECT_EQ(Csr.uniqueCallSite(LabelId(L)), SitesOf[L][0])
             << P.Name << " label " << L;
       }
     }
@@ -387,22 +410,25 @@ TEST(FrozenApps, CalledOnceIdenticalWithAndWithoutSnapshot) {
 
 TEST(FrozenApps, CallGraphIdenticalWithAndWithoutEngine) {
   for (const CorpusProgram &P : corpusPrograms()) {
-    std::unique_ptr<Module> M = parseMaybeInfer(P.Source);
-    ASSERT_TRUE(M);
-    SubtransitiveGraph G(*M);
-    G.build();
-    G.close();
-    FrozenGraph F(G);
-    QueryEngine Engine(F, 2);
-    CallGraph Plain(G);
-    Plain.run();
-    CallGraph Batched(G, &Engine);
+    FrozenProgram FP(P.Source);
+    ASSERT_TRUE(FP.F);
+    QueryEngine Engine(*FP.F, 2);
+    CallGraph Batched(*FP.M, Engine);
     Batched.run();
-    ASSERT_EQ(Plain.numCallers(), Batched.numCallers()) << P.Name;
-    for (uint32_t C = 0; C != Plain.numCallers(); ++C)
-      EXPECT_TRUE(Plain.calleesOf(C) == Batched.calleesOf(C))
-          << P.Name << " caller " << C;
-    EXPECT_EQ(Plain.deadFunctions(), Batched.deadFunctions()) << P.Name;
+    // Every call site is attributed to exactly one caller, and each
+    // caller's callees are the union of its sites' reachable labels.
+    Reachability R(*FP.G);
+    uint32_t NumSites = 0, NumApps = 0;
+    for (uint32_t I = 0; I != FP.M->numExprs(); ++I)
+      NumApps += isa<AppExpr>(FP.M->expr(ExprId(I)));
+    for (uint32_t C = 0; C != Batched.numCallers(); ++C) {
+      DenseBitset Want(FP.M->numLabels());
+      for (ExprId Site : Batched.sitesOf(C))
+        Want.unionWith(R.labelsOf(cast<AppExpr>(FP.M->expr(Site))->fn()));
+      NumSites += Batched.sitesOf(C).size();
+      EXPECT_TRUE(Batched.calleesOf(C) == Want) << P.Name << " caller " << C;
+    }
+    EXPECT_EQ(NumSites, NumApps) << P.Name;
   }
 }
 
@@ -418,7 +444,7 @@ TEST(FrozenApps, EngineNeverCalledContainedInDeadCodeAware) {
     G.close();
     FrozenGraph F(G);
     QueryEngine Engine(F, 2);
-    CallGraph CG(G, &Engine);
+    CallGraph CG(*M, Engine);
     CG.run();
     DeadCodeAwareCFA Dc(*M);
     Dc.run();
@@ -431,6 +457,59 @@ TEST(FrozenApps, EngineNeverCalledContainedInDeadCodeAware) {
           << " not dead-code-aware dead";
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// A frozen graph is self-contained
+//===----------------------------------------------------------------------===//
+
+TEST(FrozenGraphLifetime, OutlivesItsSource) {
+  // Freeze, take every answer, destroy the source graph, and ask again:
+  // nothing downstream of close may reach back into the live graph.
+  std::unique_ptr<Module> M = parseMaybeInfer(miniEvalProgram());
+  ASSERT_TRUE(M);
+  auto G = std::make_unique<SubtransitiveGraph>(*M);
+  G->build();
+  G->close();
+  auto F = std::make_unique<FrozenGraph>(*G);
+  ASSERT_TRUE(F->status().isOk());
+
+  struct Answers {
+    std::vector<DenseBitset> Labels;
+    std::vector<bool> Effectful;
+    std::vector<CalledOnceAnalysis::CallCount> Calls;
+    std::vector<std::string> Findings;
+  };
+  auto answer = [&] {
+    Answers A;
+    QueryEngine Engine(*F, 2);
+    for (uint32_t I = 0; I != M->numExprs(); ++I)
+      A.Labels.push_back(Engine.labelsOf(ExprId(I)));
+    EffectsAnalysis Eff(*M, *F);
+    Eff.run();
+    for (uint32_t I = 0; I != M->numExprs(); ++I)
+      A.Effectful.push_back(Eff.isEffectful(ExprId(I)));
+    CalledOnceAnalysis CO(*M, *F);
+    CO.run();
+    for (uint32_t L = 0; L != M->numLabels(); ++L)
+      A.Calls.push_back(CO.countOf(LabelId(L)));
+    LintResult LR = LintEngine(*M, *F).run();
+    for (const LintPassReport &Rep : LR.Reports)
+      for (const LintDiagnostic &D : Rep.Findings)
+        A.Findings.push_back(std::string(Rep.Info->Id) + ": " + D.Message);
+    return A;
+  };
+
+  Answers Before = answer();
+  G.reset();
+  Answers After = answer();
+  ASSERT_EQ(Before.Labels.size(), After.Labels.size());
+  for (size_t I = 0; I != Before.Labels.size(); ++I)
+    EXPECT_TRUE(Before.Labels[I] == After.Labels[I]) << "expr " << I;
+  EXPECT_EQ(Before.Effectful, After.Effectful);
+  EXPECT_EQ(Before.Calls, After.Calls);
+  EXPECT_EQ(Before.Findings, After.Findings);
+  EXPECT_FALSE(Before.Findings.empty());
 }
 
 //===----------------------------------------------------------------------===//
