@@ -335,11 +335,12 @@ void printKernelTables() {
   // (src/testgen): shapes the cubic/lexgen workloads never produce.
   // Alongside wall clock, each row records the schedule geometry —
   // levels, chunks, and the barrier compression the chunked scheduler
-  // bought — because on a 1-core bench box the counters, not the
-  // wall-clock scaling, are what prove the scheduler works.
+  // bought, and the matrix rows left once forwarding components share
+  // their successor's row — because on a 1-core bench box the counters,
+  // not the wall-clock scaling, are what prove the scheduler works.
   std::printf("== kernel lane scaling over condensation shapes ==\n");
-  TablePrinter T5({"shape", "sccs", "levels", "chunks", "compress", "k1(ms)",
-                   "k2(ms)", "k4(ms)", "2x", "4x"});
+  TablePrinter T5({"shape", "sccs", "rows", "levels", "chunks", "compress",
+                   "k1(ms)", "k2(ms)", "k4(ms)", "2x", "4x"});
   const ShapeSpec ShapeSpecs[] = {
       {CondShape::Wide, 256, 1},
       {CondShape::Deep, 512, 1},
@@ -376,6 +377,7 @@ void printKernelTables() {
     }
 
     T5.addRow({Name, std::to_string(F.condensation().numSccs()),
+               std::to_string(Probe.numRows()),
                std::to_string(Probe.numLevels()),
                std::to_string(Probe.numChunks()),
                TablePrinter::num(Compression, 1), TablePrinter::num(Ms[0]),
@@ -386,6 +388,7 @@ void printKernelTables() {
         .add("shape", Name)
         .add("exprs", M->numExprs())
         .add("sccs", F.condensation().numSccs())
+        .add("rows", Probe.numRows())
         .add("levels", Probe.numLevels())
         .add("chunks", Probe.numChunks())
         .add("barrier_compression", Compression)

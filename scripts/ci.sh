@@ -10,8 +10,12 @@
 #                  warnings run under -Werror too
 #   3. asan      - AddressSanitizer + UBSan, unit + fuzz labels
 #   4. tsan      - ThreadSanitizer, unit label (the parallel query/kernel
-#                  paths are what TSan is here for; the fuzz sweep under
-#                  TSan is slow and adds no thread coverage)
+#                  paths are what TSan is here for), plus the shape
+#                  differential fuzz: it runs the kernel on 2 lanes
+#                  against StandardCFA at several chunk sizes, and shared
+#                  (forwarding) rows decide which rows the parallel
+#                  per-level sweep reads.  The rest of the fuzz sweep
+#                  under TSan is slow and adds no thread coverage.
 #
 # Usage: scripts/ci.sh [--fast]
 #   --fast  skip the release and sanitizer presets (tier-1 only)
@@ -50,7 +54,7 @@ run_preset build ""
 # the bit-exactness proof for whichever path the hardware dispatched.
 echo "=== forced-scalar rerun (STCFA_FORCE_SCALAR=1) ==="
 STCFA_FORCE_SCALAR=1 ./build/tests/stcfa_tests \
-  --gtest_filter='SimdOps.*:LabelSetKernel.*:QueryEngineKernel.*:ShapeGen.*' \
+  --gtest_filter='SimdOps.*:LabelSetKernel*:QueryEngineKernel.*:ShapeGen.*' \
   --gtest_brief=1
 STCFA_FORCE_SCALAR=1 ./build/tests/stcfa_fuzz_tests \
   --gtest_filter='*DifferentialFuzzShapes*:DeltaFuzz*' --gtest_brief=1
@@ -111,6 +115,8 @@ if [[ "${FAST}" == 0 ]]; then
   run_preset build-asan "-DSTCFA_SANITIZE=address,undefined" \
     -L 'unit|fuzz|serve-smoke|slice-smoke'
   run_preset build-tsan "-DSTCFA_SANITIZE=thread" -L unit
+  ./build-tsan/tests/stcfa_fuzz_tests \
+    --gtest_filter='*DifferentialFuzzShapes*' --gtest_brief=1
 fi
 
 if [[ "${FAST}" == 1 ]]; then

@@ -43,6 +43,7 @@ LabelSetKernel::LabelSetKernel(const FrozenGraph &F,
   // backing is safe behind this cast.
   Matrix = const_cast<uint64_t *>(Rows.data());
   SccLevel.assign(Cond->numSccs(), 0);
+  NumRows = Cond->numSccs();
   NumLevels = LevelsDone = 1;
   ChunkLevelOffsets = {0, 1}; // one trivial, already-complete chunk
   ChunksDone = 1;
@@ -87,27 +88,46 @@ Status LabelSetKernel::buildSchedule() {
   // inflates the count and keeps the sum a pure sequential-read
   // reduction rather than per-edge scattered increments), the profile
   // that drives the row layout below.
+  //
+  // It also finds the *forwarding* components: no node carries a label
+  // and every cross-edge leads to one row owner (a successor that
+  // forwards itself is resolved to its owner, which the ascending sweep
+  // has already fixed).  Such a component's final set is its owner's,
+  // so it shares the owner's row and is never closed.  A label-free
+  // sink has no owner and keeps its own (empty) row.
+  constexpr uint32_t None = FrozenGraph::None;
   const uint32_t *Off = F.outOffsets();
   const uint32_t *Tgt = F.outTargets();
   const uint32_t *InOff = F.inOffsets();
+  const uint32_t *Lab = F.labelArray();
   SccLevel.assign(NumSccs, 0);
+  ForwardTo.assign(NumSccs, None);
   std::vector<uint32_t> InReads(NumSccs);
   NumLevels = 0;
   for (uint32_t Scc = 0; Scc != NumSccs; ++Scc) {
     uint32_t Lv = 0;
     uint32_t Reads = 0;
+    bool Labelled = false, OneOwner = true;
+    uint32_t Owner = None;
     for (uint32_t I = SccNodeOffsets[Scc], E = SccNodeOffsets[Scc + 1]; I != E;
          ++I) {
       uint32_t N = SccNodes[I];
       Reads += InOff[N + 1] - InOff[N];
+      Labelled |= Lab[N] != None;
       for (uint32_t J = Off[N], JE = Off[N + 1]; J != JE; ++J) {
         uint32_t S = Cond->sccOf(Tgt[J]);
-        if (S != Scc)
-          Lv = std::max(Lv, SccLevel[S] + 1);
+        if (S == Scc)
+          continue;
+        Lv = std::max(Lv, SccLevel[S] + 1);
+        uint32_t O = ForwardTo[S] == None ? S : ForwardTo[S];
+        OneOwner &= Owner == None || Owner == O;
+        Owner = O;
       }
     }
     InReads[Scc] = Reads;
     SccLevel[Scc] = Lv;
+    if (!Labelled && OneOwner)
+      ForwardTo[Scc] = Owner; // stays None for a label-free sink
     NumLevels = std::max(NumLevels, Lv + 1);
   }
 
@@ -174,14 +194,20 @@ Status LabelSetKernel::buildSchedule() {
                 LevelComps.begin() + B);
     }
   }
-  // The row permutation, then its node-level fusion (sccOf∘RowOf
-  // precomputed) so the close loop maps an edge target to its row with
-  // a single load — the permutation must not cost the hot loop a second
-  // dependent lookup.  `NodeRow` is deliberately uninitialized storage:
-  // every node is written exactly once by the streaming fill.
-  RowOf.assign(NumSccs, 0);
-  for (uint32_t I = 0; I != NumSccs; ++I)
-    RowOf[LevelComps[I]] = I;
+  // The row map, then its node-level fusion (sccOf∘RowOf precomputed)
+  // so the close loop maps an edge target to its row with a single load
+  // — the map must not cost the hot loop a second dependent lookup.
+  // Fresh rows go to non-forwarding components in `LevelComps` order; a
+  // forwarding component takes its owner's row, which is already
+  // assigned because the owner sits on a lower level.  `NodeRow` is
+  // deliberately uninitialized storage: every node is written exactly
+  // once by the streaming fill.
+  RowOf.resize(NumSccs);
+  NumRows = 0;
+  for (uint32_t C : LevelComps)
+    RowOf[C] = ForwardTo[C] == None ? NumRows++ : RowOf[ForwardTo[C]];
+  static Counter &SharedC = counter("kernel.rows_shared");
+  SharedC.add(NumSccs - NumRows);
   NodeRow = std::make_unique_for_overwrite<uint32_t[]>(NumNodes);
   const uint32_t *SccOfRaw = Cond->map().data();
   for (uint32_t N = 0; N != NumNodes; ++N)
@@ -213,7 +239,7 @@ Status LabelSetKernel::buildSchedule() {
   // lanes finalizing different components never touch the same line.
   WordsPerSet = (F.numLabels() + 63) / 64;
   RowWords = (WordsPerSet + 7) & ~7u;
-  size_t Need = size_t(NumSccs) * RowWords;
+  size_t Need = size_t(NumRows) * RowWords;
   MatrixStore.assign(Need + 7, 0);
   Matrix = reinterpret_cast<uint64_t *>(
       (reinterpret_cast<uintptr_t>(MatrixStore.data()) + 63) &
@@ -225,11 +251,15 @@ Status LabelSetKernel::buildSchedule() {
 
 /// Finalizes one component's row: set the bits of labels carried by its
 /// own nodes, then OR in every successor component's (already final)
-/// row.  Word-OR work is summed into \p WordOrs, never into the global
-/// counter: with thousands of tiny components the per-component atomic
-/// flushes would rival the closure itself, so the caller flushes once
-/// per chunk (per lane when fanned out).
+/// row.  A forwarding component has nothing to do: its row is its
+/// owner's, final since the owner's lower level closed.  Word-OR work
+/// is summed into \p WordOrs, never into the global counter: with
+/// thousands of tiny components the per-component atomic flushes would
+/// rival the closure itself, so the caller flushes once per chunk (per
+/// lane when fanned out).
 void LabelSetKernel::closeComponent(uint32_t Scc, uint64_t &WordOrs) {
+  if (ForwardTo[Scc] != FrozenGraph::None)
+    return;
   const uint32_t MyRow = static_cast<uint32_t>(rowIndex(Scc));
   uint64_t *R = Matrix + size_t(MyRow) * RowWords;
   const uint32_t *Off = F.outOffsets();
@@ -237,6 +267,9 @@ void LabelSetKernel::closeComponent(uint32_t Scc, uint64_t &WordOrs) {
   const uint32_t *Lab = F.labelArray();
   const uint32_t *NR = NodeRow.get();
   const uint32_t W = WordsPerSet;
+  // Edges into one forwarding chain land on one shared row; skipping a
+  // repeat of the row just OR-ed is free and OR is idempotent.
+  uint32_t LastRow = MyRow;
   for (uint32_t I = SccNodeOffsets[Scc], E = SccNodeOffsets[Scc + 1]; I != E;
        ++I) {
     uint32_t N = SccNodes[I];
@@ -244,8 +277,9 @@ void LabelSetKernel::closeComponent(uint32_t Scc, uint64_t &WordOrs) {
       R[L / 64] |= uint64_t(1) << (L % 64);
     for (uint32_t J = Off[N], JE = Off[N + 1]; J != JE; ++J) {
       uint32_t RS = NR[Tgt[J]];
-      if (RS == MyRow)
+      if (RS == MyRow || RS == LastRow)
         continue;
+      LastRow = RS;
       // The hot loop of the whole kernel: one dispatched row-OR (AVX-512
       // / AVX2 / scalar — see support/SimdOps.h) per cross-edge.
       simd::orWords(R, Matrix + size_t(RS) * RowWords, W);
@@ -292,6 +326,8 @@ Status LabelSetKernel::run(const Controls &C) {
     if (Status S = buildSchedule(); !S.isOk())
       return finish(std::move(S));
   RunSpan.arg("sccs", Cond->numSccs());
+  RunSpan.arg("rows", NumRows);
+  RunSpan.arg("rows_shared", Cond->numSccs() - NumRows);
 
   // One governor checkpoint per *chunk*; the word loops stay check-free.
   // `LevelsDone` only advances past a chunk's barrier, so an abort here

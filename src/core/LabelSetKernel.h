@@ -37,6 +37,13 @@
 ///     sharing), and rows are laid out level-major with the most-read
 ///     components first (profile-guided by cross-edge in-degree), so a
 ///     chunk sweeps contiguous warm lines.
+///   * **Forwarding rows** — a component that carries no label and whose
+///     every cross-edge leads to one component (after resolving that
+///     component's own forwarding) has exactly its successor's label
+///     set, so it shares the successor's row instead of owning one.
+///     Chains of label-free nodes are the bulk of a closed graph, so
+///     the matrix holds `numRows()` ≪ components rows; sharing is
+///     invisible to every reader, since all go through the row map.
 ///   * **Governed, resumable closure** — the deadline / cancellation
 ///     token / fault sites are polled once per chunk (the hot word loops
 ///     stay check-free), and an aborted run reports `Status` plus a
@@ -198,14 +205,21 @@ public:
     return {row(Scc), WordsPerSet};
   }
 
+  /// Physical rows in the matrix: one per condensation component that
+  /// does not forward (see the file comment); every component of an
+  /// adopted snapshot matrix.  Meaningful once `run()` built the
+  /// schedule.
+  uint32_t numRows() const { return NumRows; }
+
   /// Milliseconds spent inside `run()` so far (summed across resumes).
   double closureMillis() const { return ClosureMs; }
 
 private:
   Status buildSchedule();
   /// Physical row index of component \p Scc.  `RowOf` is the
-  /// profile-guided layout permutation (empty = identity, as in adopted
-  /// snapshots, whose rows are tight-packed in component-id order).
+  /// profile-guided layout map, many-to-one where components forward
+  /// (empty = identity, as in adopted snapshots, whose rows are
+  /// tight-packed in component-id order).
   size_t rowIndex(uint32_t Scc) const {
     return RowOf.empty() ? Scc : RowOf[Scc];
   }
@@ -229,8 +243,9 @@ private:
 
   // Schedule: the condensation (cached on the snapshot), nodes grouped
   // by component (CSR), components grouped by level (CSR), levels
-  // merged into chunks (CSR over level indices), and the
-  // profile-guided row permutation.
+  // merged into chunks (CSR over level indices), the profile-guided
+  // row map, and which components forward (share a successor's row and
+  // are never closed).
   const Condensation *Cond = nullptr;
   std::vector<uint32_t> SccNodeOffsets, SccNodes;
   std::vector<uint32_t> SccLevel;
@@ -239,13 +254,15 @@ private:
   std::vector<uint32_t> ChunkLevelOffsets;
   uint32_t ChunksDone = 0;
   std::vector<uint32_t> RowOf;
+  std::vector<uint32_t> ForwardTo; // the shared row's owner, or None
+  uint32_t NumRows = 0;
   // Per-node physical row (`RowOf[sccOf(node)]` precomputed), so the
   // close loop maps an edge target to its row with a single load.
   // Uninitialized-alloc array, not a vector: it is fully overwritten
   // right after allocation and the zero-fill would be pure waste.
   std::unique_ptr<uint32_t[]> NodeRow;
 
-  // The label-set matrix: one row per component, `RowWords` 64-bit words
+  // The label-set matrix: `NumRows` rows, `RowWords` 64-bit words
   // each.  `RowWords` is `WordsPerSet` rounded up to a full cache line
   // (multiple of 8 words) and `Matrix` is 64-byte aligned into
   // `MatrixStore`, so no two rows share a cache line.

@@ -40,12 +40,15 @@
 #include "sema/Infer.h"
 #include "serve/Server.h"
 #include "snapshot/Snapshot.h"
+#include "support/LabelSetWriter.h"
 #include "support/Metrics.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 #include "unify/UnificationCFA.h"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iostream> // the one tool entry point reads stdin
 #include <iterator>
@@ -279,35 +282,28 @@ Deadline deadlineOf(const Options &Opts) {
                              : Deadline::infinite();
 }
 
-/// Renders \p Set as `{name, ...}` over the label-name lookup \p Name:
-/// `describeLabel` on a live module, the persisted name table on a
-/// loaded snapshot.
-template <class LabelNameFn>
-std::string renderSet(const DenseBitset &Set, LabelNameFn &&Name) {
-  std::string Out = "{";
-  bool First = true;
-  Set.forEach([&](uint32_t L) {
-    if (!First)
-      Out += ", ";
-    First = false;
-    Out += Name(L);
-  });
-  Out += '}';
-  return Out;
+/// The writer's label-name table for a live module: `describeLabel` of
+/// every label, resolved once.
+std::vector<std::string> labelNames(const Module &M) {
+  std::vector<std::string> Names;
+  Names.reserve(M.numLabels());
+  for (uint32_t L = 0; L != M.numLabels(); ++L)
+    Names.push_back(describeLabel(M, LabelId(L)));
+  return Names;
 }
 
-/// The one `--query=all-labels` renderer: a line per occurrence whose set
-/// was answered (\p SetOf returns null otherwise) and is non-empty.
-template <class SetOfFn, class ExprNameFn, class LabelNameFn>
-void printAllLabels(uint32_t NumExprs, SetOfFn &&SetOf,
-                    ExprNameFn &&ExprName, LabelNameFn &&LabelName) {
-  for (uint32_t I = 0; I != NumExprs; ++I) {
-    const DenseBitset *Set = SetOf(I);
-    if (!Set || Set->empty())
-      continue;
-    std::printf("%-18s %s\n", std::string(ExprName(I)).c_str(),
-                renderSet(*Set, LabelName).c_str());
-  }
+/// The one `--query=all-labels` renderer, streaming to stdout under a
+/// `driver.render` span: a line per occurrence whose set was answered
+/// (\p SetOf returns null otherwise) and is non-empty.
+template <class SetOfFn, class ExprNameFn>
+void printAllLabels(std::vector<std::string> LabelNames, uint32_t NumExprs,
+                    SetOfFn &&SetOf, ExprNameFn &&ExprName) {
+  Span RenderSpan("driver.render");
+  LabelSetWriter W(stdout, std::move(LabelNames));
+  W.allLabels(NumExprs, SetOf, ExprName);
+  W.flush();
+  RenderSpan.arg("lines", W.lines());
+  RenderSpan.arg("bytes", W.bytes());
 }
 
 /// `--query=all-labels` over \p Engine as one batched call, so the sweep
@@ -315,10 +311,11 @@ void printAllLabels(uint32_t NumExprs, SetOfFn &&SetOf,
 /// `--timeout-ms` the batch is governed: the engine polls \p D between
 /// shards and returns whatever completed, flagged per item.  Returns 3
 /// when a governed batch stopped early, else 0.
-template <class ExprNameFn, class LabelNameFn>
+template <class ExprNameFn>
 int printEngineAllLabels(const Options &Opts, QueryEngine &Engine,
                          uint32_t NumExprs, const Deadline &D,
-                         ExprNameFn &&ExprName, LabelNameFn &&LabelName) {
+                         ExprNameFn &&ExprName,
+                         std::vector<std::string> LabelNames) {
   std::vector<ExprId> Es;
   Es.reserve(NumExprs);
   for (uint32_t I = 0; I != NumExprs; ++I)
@@ -334,9 +331,9 @@ int printEngineAllLabels(const Options &Opts, QueryEngine &Engine,
     Outcome.Done.assign(Es.size(), true);
   }
   printAllLabels(
-      NumExprs,
+      std::move(LabelNames), NumExprs,
       [&](uint32_t I) { return Outcome.Done[I] ? &Sets[I] : nullptr; },
-      ExprName, LabelName);
+      ExprName);
   if (Opts.TimeoutMs < 0 || Outcome.S.isOk())
     return 0;
   std::fprintf(stderr, "note: batch stopped early: %s (%llu of %u answered)\n",
@@ -420,17 +417,19 @@ int serveFromSnapshot(const Options &Opts, const LoadedSnapshot &Snap) {
                 F.numNodes(), (unsigned long long)F.numEdges(),
                 Engine.threads(), KernelAdopted ? "adopted" : "absent");
 
-  auto LabelName = [&](uint32_t L) { return Snap.labelName(L); };
+  std::vector<std::string> LabelNames;
+  LabelNames.reserve(F.numLabels());
+  for (uint32_t L = 0; L != F.numLabels(); ++L)
+    LabelNames.emplace_back(Snap.labelName(L));
   int ExitCode = 0;
   Timer QueryTimer;
   if (Opts.Query == "labels")
-    std::printf("L(root) = %s\n",
-                renderSet(Engine.labelsOf(Snap.rootExpr()), LabelName)
-                    .c_str());
+    LabelSetWriter(stdout, std::move(LabelNames))
+        .rootLine(Engine.labelsOf(Snap.rootExpr()));
   else // all-labels (the flag validation admits nothing else)
     ExitCode = printEngineAllLabels(
         Opts, Engine, F.numExprs(), deadlineOf(Opts),
-        [&](uint32_t I) { return Snap.exprName(I); }, LabelName);
+        [&](uint32_t I) { return Snap.exprName(I); }, std::move(LabelNames));
   if (Opts.Stats)
     std::printf("queries: %.3f ms\n", QueryTimer.millis());
   return ExitCode;
@@ -639,9 +638,8 @@ Status persistSnapshot(const std::string &Path, const FrozenGraph &F,
   return writeSnapshot(Path, F, M, WO);
 }
 
-} // namespace
-
-int main(int Argc, char **Argv) {
+/// The whole tool; `main` adds the output check.
+int runTool(int Argc, char **Argv) {
   Options Opts;
   for (int I = 1; I != Argc; ++I) {
     std::string A = Argv[I];
@@ -1486,22 +1484,21 @@ int main(int Argc, char **Argv) {
   };
   Timer QueryTimer;
   if (Opts.Query == "labels") {
-    std::printf("L(root) = %s\n",
-                renderSet(R.labels(M->root()), LabelName).c_str());
+    LabelSetWriter(stdout, labelNames(*M)).rootLine(R.labels(M->root()));
   } else if (Opts.Query == "all-labels") {
     if (QueryEngine *E = R.engine()) {
       if (int Code = printEngineAllLabels(Opts, *E, M->numExprs(), D,
-                                          ExprName, LabelName))
+                                          ExprName, labelNames(*M)))
         ExitCode = Code;
     } else {
       DenseBitset Set;
       printAllLabels(
-          M->numExprs(),
+          labelNames(*M), M->numExprs(),
           [&](uint32_t I) {
             Set = R.labels(ExprId(I));
             return &Set;
           },
-          ExprName, LabelName);
+          ExprName);
     }
   } else if (Opts.Query == "effects") {
     if (needsGraph("effects"))
@@ -1611,5 +1608,22 @@ int main(int Argc, char **Argv) {
       std::printf("aborted: %s\n", Run.Abort.c_str());
   }
 
+  return ExitCode;
+}
+
+} // namespace
+
+/// Every batch mode writes through stdout's buffer, so one check on the
+/// way out catches a failed write anywhere (a full disk, say): output
+/// that was cut short must not exit 0.
+int main(int Argc, char **Argv) {
+  int ExitCode = runTool(Argc, Argv);
+  errno = 0;
+  if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
+    // An error flagged by an earlier block write leaves errno unset here.
+    std::fprintf(stderr, "error: writing output: %s\n",
+                 std::strerror(errno ? errno : EIO));
+    return 1;
+  }
   return ExitCode;
 }

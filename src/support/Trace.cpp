@@ -45,8 +45,8 @@ struct Event {
   uint64_t Seq;
   uint64_t Parent;
   uint32_t NumArgs;
-  const char *ArgKeys[4];
-  uint64_t ArgVals[4];
+  const char *ArgKeys[Span::MaxArgs];
+  uint64_t ArgVals[Span::MaxArgs];
   const char *StrKey;
   const char *StrVal;
 };
@@ -193,7 +193,7 @@ Span::~Span() {
 }
 
 void Span::arg(const char *Key, uint64_t Value) {
-  if (!Name || NumArgs >= 4)
+  if (!Name || NumArgs >= MaxArgs)
     return;
   ArgKeys[NumArgs] = Key;
   ArgVals[NumArgs] = Value;

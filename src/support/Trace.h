@@ -110,7 +110,10 @@ public:
   Span(const Span &) = delete;
   Span &operator=(const Span &) = delete;
 
-  /// Attaches an integer argument (up to 4 per span; extras are dropped).
+  /// Integer arguments a span keeps; extras are dropped.
+  static constexpr uint32_t MaxArgs = 8;
+
+  /// Attaches an integer argument (up to `MaxArgs` per span).
   void arg(const char *Key, uint64_t Value);
   /// Attaches the span's single string argument (last call wins).
   void arg(const char *Key, const char *Value);
@@ -121,8 +124,8 @@ private:
   uint64_t Seq = 0;
   uint64_t Parent = 0;
   uint32_t NumArgs = 0;
-  const char *ArgKeys[4] = {};
-  uint64_t ArgVals[4] = {};
+  const char *ArgKeys[MaxArgs] = {};
+  uint64_t ArgVals[MaxArgs] = {};
   const char *StrKey = nullptr;
   const char *StrVal = nullptr;
 };
@@ -143,6 +146,7 @@ inline void traceInstant(const char *, const char *, const char *,
 
 class Span {
 public:
+  static constexpr uint32_t MaxArgs = 8;
   explicit Span(const char *) {}
   Span(const Span &) = delete;
   Span &operator=(const Span &) = delete;

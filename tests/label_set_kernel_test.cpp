@@ -14,6 +14,10 @@
 ///   * governed aborts: a kernel stopped at level k reports `Status`,
 ///     says exactly which label sets are complete, serves those
 ///     bit-identically to a full closure, and resumes from level k;
+///   * forwarding rows: label-free single-successor components share
+///     their successor's row, stay exact per node, never report complete
+///     before the row they read, survive a snapshot round trip, and do
+///     not hide the corrupt-row canary;
 ///   * `QueryEngine` dispatch: batches at/above the threshold ride the
 ///     kernel, point queries and sub-threshold batches do not, and an
 ///     aborted kernel degrades to the BFS path transparently.
@@ -30,8 +34,12 @@
 #include "core/Reachability.h"
 #include "gen/Corpus.h"
 #include "gen/Generators.h"
+#include "snapshot/Snapshot.h"
 #include "support/FaultInjection.h"
+#include "testgen/ShapeGen.h"
 
+#include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -407,6 +415,213 @@ TEST(LabelSetKernel, InjectedAllocFailureIsOutOfMemory) {
 }
 
 #endif // STCFA_FAULT_INJECTION
+
+//===----------------------------------------------------------------------===//
+// Forwarding rows: label-free single-successor components share a row
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+Workload shape(const std::string &Spec) {
+  ShapeSpec S;
+  EXPECT_TRUE(parseShapeSpec(Spec, S)) << Spec;
+  return {Spec, makeShapeProgram(S), true};
+}
+
+/// Every node's kernel row against the BFS answer (`QueryEngine` with the
+/// kernel switched off).  Returns the number of nodes that differ.
+uint32_t nodesDifferingFromBfs(const LabelSetKernel &K, const FrozenGraph &F) {
+  QueryEngine Bfs(F, 1);
+  Bfs.setKernelThreshold(0);
+  uint32_t Differ = 0;
+  for (uint32_t N = 0; N != F.numNodes(); ++N)
+    Differ += !(K.labelsOfNode(N) == Bfs.labelsOfNode(N));
+  return Differ;
+}
+
+/// The components the file comment calls forwarding, found directly:
+/// no node carries a label and every cross-edge leads to one component.
+/// Returns that successor per component (`FrozenGraph::None` if the
+/// component does not forward).
+std::vector<uint32_t> forwardingSuccessors(const FrozenGraph &F) {
+  const Condensation &C = F.condensation();
+  std::vector<uint32_t> Succ(C.numSccs(), FrozenGraph::None);
+  std::vector<bool> Keeps(C.numSccs(), false); // labelled or fans out
+  for (uint32_t N = 0; N != F.numNodes(); ++N) {
+    uint32_t S = C.sccOf(N);
+    Keeps[S] = Keeps[S] || F.labelArray()[N] != FrozenGraph::None;
+    for (uint32_t J = F.outOffsets()[N]; J != F.outOffsets()[N + 1]; ++J) {
+      uint32_t T = C.sccOf(F.outTargets()[J]);
+      if (T == S)
+        continue;
+      Keeps[S] = Keeps[S] || (Succ[S] != FrozenGraph::None && Succ[S] != T);
+      Succ[S] = T;
+    }
+  }
+  for (uint32_t S = 0; S != C.numSccs(); ++S)
+    if (Keeps[S])
+      Succ[S] = FrozenGraph::None;
+  return Succ;
+}
+
+} // namespace
+
+TEST(LabelSetKernelRowSharing, ChainShapesShareRowsAndMatchBfs) {
+  for (const char *Spec : {"deep:32", "skewed:24", "wide:32"}) {
+    Workload W = shape(Spec);
+    Built B = build(W, CongruenceMode::None);
+    ASSERT_TRUE(B.M) << Spec;
+    for (unsigned Lanes : {1u, 2u}) {
+      LabelSetKernel K(*B.F, Lanes);
+      ASSERT_TRUE(K.run().isOk()) << Spec;
+      // Most components of these chain-heavy shapes forward.
+      EXPECT_LT(K.numRows(), B.F->condensation().numSccs() / 2) << Spec;
+      EXPECT_GT(K.numRows(), 0u) << Spec;
+      EXPECT_EQ(nodesDifferingFromBfs(K, *B.F), 0u) << Spec;
+    }
+  }
+}
+
+TEST(LabelSetKernelRowSharing, EveryDirectForwarderSharesItsSuccessorsRow) {
+  Built B = build(shape("deep:32"), CongruenceMode::None);
+  ASSERT_TRUE(B.M);
+  LabelSetKernel K(*B.F);
+  ASSERT_TRUE(K.run().isOk());
+  std::vector<uint32_t> Succ = forwardingSuccessors(*B.F);
+  uint32_t Forwarders = 0;
+  for (uint32_t S = 0; S != Succ.size(); ++S) {
+    if (Succ[S] == FrozenGraph::None)
+      continue;
+    ++Forwarders;
+    // Sharing is storage, not just equal contents.
+    EXPECT_EQ(K.rowSpan(S).data(), K.rowSpan(Succ[S]).data()) << "scc " << S;
+  }
+  EXPECT_GT(Forwarders, 0u);
+  EXPECT_LE(K.numRows(), B.F->condensation().numSccs() - Forwarders);
+}
+
+TEST(LabelSetKernelRowSharing, LabelledComponentNeverForwards) {
+  // A closed graph carries its labels on sinks, so a labelled component
+  // with exactly one successor is planted by hand.  It must keep a row
+  // of its own (its label plus the successor's), not forward.
+  auto M = parseMaybeInfer("let f = fn x => x in let g = fn y => y in f g");
+  ASSERT_TRUE(M);
+  SubtransitiveConfig C;
+  C.Congruence = CongruenceMode::None;
+  SubtransitiveGraph G(*M, C);
+  G.build();
+  ASSERT_TRUE(G.close(Deadline::infinite()).isOk());
+  G.addEdge(G.labelNode(LabelId(0)), G.labelNode(LabelId(1)));
+  FrozenGraph F(G);
+  ASSERT_TRUE(F.status().isOk());
+  LabelSetKernel K(F);
+  ASSERT_TRUE(K.run().isOk());
+  EXPECT_EQ(nodesDifferingFromBfs(K, F), 0u);
+  QueryEngine Bfs(F, 1);
+  Bfs.setKernelThreshold(0);
+  uint32_t Both = 0;
+  for (uint32_t N = 0; N != F.numNodes(); ++N)
+    Both += Bfs.labelsOfNode(N).count() == 2;
+  EXPECT_GT(Both, 0u) << "the planted edge did not reach the frozen graph";
+}
+
+#if STCFA_FAULT_INJECTION
+
+TEST(LabelSetKernelRowSharing, AbortAtEveryChunkBoundaryIsExact) {
+  Built B = build(shape("deep:16"), CongruenceMode::None);
+  ASSERT_TRUE(B.M);
+  LabelSetKernel Full(*B.F);
+  ASSERT_TRUE(Full.run().isOk());
+  ASSERT_LT(Full.numRows(), B.F->condensation().numSccs());
+  std::vector<uint32_t> Succ = forwardingSuccessors(*B.F);
+
+  LabelSetKernel Probe(*B.F);
+  Probe.setChunkRows(1);
+  ASSERT_TRUE(Probe.run().isOk());
+  const uint32_t Chunks = Probe.numChunks();
+  ASSERT_GT(Chunks, 2u);
+
+  for (uint32_t Stop = 0; Stop != Chunks; ++Stop) {
+    SCOPED_TRACE("stop at chunk " + std::to_string(Stop));
+    LabelSetKernel Part(*B.F);
+    Part.setChunkRows(1);
+    ASSERT_TRUE(armFault(fault::KernelLevelCancel, Stop));
+    Status S = Part.run();
+    disarmFaults();
+    ASSERT_EQ(S.code(), StatusCode::Cancelled);
+    ASSERT_EQ(Part.chunksCompleted(), Stop);
+
+    for (uint32_t I = 0, E = B.M->numExprs(); I != E; ++I) {
+      ExprId Ex(I);
+      if (Part.exprComplete(Ex))
+        ASSERT_TRUE(Part.labelsOf(Ex) == Full.labelsOf(Ex)) << "expr " << I;
+      else
+        ASSERT_TRUE(Part.labelsOf(Ex).empty()) << "expr " << I;
+    }
+    // A forwarder's row is its successor's: it may only report complete
+    // once the successor has.
+    for (uint32_t C = 0; C != Succ.size(); ++C) {
+      if (Succ[C] != FrozenGraph::None && !Part.sccComplete(Succ[C])) {
+        ASSERT_FALSE(Part.sccComplete(C)) << "scc " << C;
+      }
+    }
+
+    ASSERT_TRUE(Part.run().isOk());
+    for (uint32_t N = 0; N != B.F->numNodes(); ++N)
+      ASSERT_TRUE(Part.labelsOfNode(N) == Full.labelsOfNode(N)) << "node " << N;
+  }
+}
+
+TEST(LabelSetKernelRowSharing, CorruptRowCanaryIsStillCaught) {
+  Built B = build(shape("deep:32"), CongruenceMode::None);
+  ASSERT_TRUE(B.M);
+  LabelSetKernel Clean(*B.F);
+  ASSERT_TRUE(Clean.run().isOk());
+  ASSERT_EQ(nodesDifferingFromBfs(Clean, *B.F), 0u);
+
+  LabelSetKernel Corrupt(*B.F);
+  ASSERT_TRUE(armFault(fault::KernelRowCorrupt));
+  ASSERT_TRUE(Corrupt.run().isOk());
+  disarmFaults();
+  ASSERT_LT(Corrupt.numRows(), B.F->condensation().numSccs());
+  EXPECT_GT(nodesDifferingFromBfs(Corrupt, *B.F), 0u)
+      << "a corrupted shared row went undetected";
+}
+
+#endif // STCFA_FAULT_INJECTION
+
+TEST(LabelSetKernelRowSharing, SnapshotOfSharingKernelAdoptsBitIdentical) {
+  Built B = build(shape("skewed:24"), CongruenceMode::None);
+  ASSERT_TRUE(B.M);
+  LabelSetKernel K(*B.F);
+  ASSERT_TRUE(K.run().isOk());
+  const uint32_t Sccs = B.F->condensation().numSccs();
+  ASSERT_LT(K.numRows(), Sccs);
+
+  const std::string Path =
+      testing::TempDir() + "stcfa_kernel_test_row_sharing.snap";
+  SnapshotWriteOptions WO;
+  WO.Kernel = &K;
+  ASSERT_TRUE(writeSnapshot(Path, *B.F, *B.M, WO).isOk());
+  Status S = Status::ok();
+  std::unique_ptr<LoadedSnapshot> Snap = LoadedSnapshot::load(Path, S);
+  ASSERT_TRUE(Snap) << S.toString();
+  std::unique_ptr<LabelSetKernel> Adopted = Snap->adoptKernel();
+  ASSERT_TRUE(Adopted);
+  EXPECT_TRUE(Adopted->complete());
+  EXPECT_EQ(Adopted->numRows(), Sccs); // the file holds one row per component
+
+  const FrozenGraph &LF = Snap->frozen();
+  ASSERT_EQ(LF.numNodes(), B.F->numNodes());
+  for (uint32_t N = 0; N != B.F->numNodes(); ++N) {
+    std::span<const uint64_t> Want = K.rowSpan(B.F->condensation().sccOf(N));
+    std::span<const uint64_t> Got = Adopted->rowSpan(LF.condensation().sccOf(N));
+    ASSERT_TRUE(std::equal(Want.begin(), Want.end(), Got.begin(), Got.end()))
+        << "node " << N;
+    ASSERT_TRUE(Adopted->labelsOfNode(N) == K.labelsOfNode(N)) << "node " << N;
+  }
+  std::remove(Path.c_str());
+}
 
 //===----------------------------------------------------------------------===//
 // QueryEngine dispatch

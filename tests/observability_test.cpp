@@ -16,6 +16,7 @@
 
 #include "analysis/HybridCFA.h"
 #include "core/FrozenGraph.h"
+#include "core/LabelSetKernel.h"
 #include "core/QueryEngine.h"
 #include "core/SubtransitiveGraph.h"
 #include "gen/Generators.h"
@@ -26,6 +27,7 @@
 
 #include "TestUtil.h"
 
+#include <iterator>
 #include <map>
 #include <thread>
 #include <vector>
@@ -133,6 +135,26 @@ TEST(Trace, SpanNestingAndArgs) {
   EXPECT_EQ(Json.front(), '[');
   EXPECT_NE(Json.find("\"test.outer\""), std::string::npos);
   EXPECT_NE(Json.find("\"ph\": \"i\""), std::string::npos);
+}
+
+TEST(Trace, SpanKeepsMaxArgsAndDropsExtras) {
+  if (!tracingCompiledIn())
+    GTEST_SKIP() << "tracing compiled out";
+  ScopedTracing T;
+  static const char *Keys[] = {"a0", "a1", "a2", "a3", "a4",
+                               "a5", "a6", "a7", "a8"};
+  static_assert(std::size(Keys) == Span::MaxArgs + 1);
+  {
+    Span S("test.many_args");
+    for (uint32_t I = 0; I != std::size(Keys); ++I)
+      S.arg(Keys[I], I);
+  }
+  std::vector<TraceEventView> Evs = snapshotTraceEvents();
+  auto Many = eventsNamed(Evs, "test.many_args");
+  ASSERT_EQ(Many.size(), 1u);
+  ASSERT_EQ(Many[0]->Args.size(), size_t(Span::MaxArgs));
+  for (uint32_t I = 0; I != Span::MaxArgs; ++I)
+    EXPECT_EQ(intArg(*Many[0], Keys[I]), I);
 }
 
 TEST(Trace, NestingHoldsAcrossPoolLanes) {
@@ -335,6 +357,40 @@ TEST(Observability, GovernedKernelAbortEmitsFallbackTelemetry) {
     EXPECT_EQ(Instants[0]->Phase, 'i');
     EXPECT_EQ(Instants[0]->StrKey, "cause");
     EXPECT_EQ(Instants[0]->StrVal, statusCodeName(Outcome.S.code()));
+  }
+}
+
+TEST(Observability, KernelRunSpanReportsRowSharing) {
+  std::unique_ptr<Module> M = parseMaybeInfer(makeCubicFamily(16));
+  ASSERT_TRUE(M);
+  SubtransitiveConfig Config;
+  Config.Congruence = CongruenceMode::None;
+  SubtransitiveGraph G(*M, Config);
+  G.build();
+  ASSERT_TRUE(G.close(Deadline::infinite()).isOk());
+  FrozenGraph F(G);
+  ASSERT_TRUE(F.status().isOk());
+
+  Counter &Shared = counter("kernel.rows_shared");
+  uint64_t SharedBefore = Shared.value();
+  ScopedTracing T;
+  LabelSetKernel K(F);
+  ASSERT_TRUE(K.run().isOk());
+  const uint32_t Sccs = F.condensation().numSccs();
+  EXPECT_LT(K.numRows(), Sccs);
+  EXPECT_EQ(Shared.value() - SharedBefore, Sccs - K.numRows());
+
+  if (tracingCompiledIn()) {
+    std::vector<TraceEventView> Evs = snapshotTraceEvents();
+    auto Runs = eventsNamed(Evs, "kernel.run");
+    ASSERT_EQ(Runs.size(), 1u);
+    const TraceEventView &Run = *Runs[0];
+    EXPECT_EQ(intArg(Run, "sccs"), Sccs);
+    EXPECT_EQ(intArg(Run, "rows"), K.numRows());
+    EXPECT_EQ(intArg(Run, "rows_shared"), Sccs - K.numRows());
+    EXPECT_EQ(intArg(Run, "levels_done"), K.numLevels());
+    EXPECT_EQ(intArg(Run, "chunks_done"), K.numChunks());
+    EXPECT_EQ(Run.StrVal, "ok");
   }
 }
 

@@ -9,11 +9,16 @@
 #include "support/Diagnostics.h"
 #include "support/Hashing.h"
 #include "support/Ids.h"
+#include "support/LabelSetWriter.h"
 #include "support/Status.h"
 #include "support/StringInterner.h"
 #include "support/TablePrinter.h"
 
 #include "gtest/gtest.h"
+
+#include <cstdio>
+#include <string>
+#include <vector>
 
 using namespace stcfa;
 
@@ -322,6 +327,121 @@ TEST(CancellationToken, CancelPropagatesAcrossCopies) {
   T.requestCancel();
   EXPECT_TRUE(T.cancelled());
   EXPECT_TRUE(Copy.cancelled());
+}
+
+//===----------------------------------------------------------------------===//
+// LabelSetWriter
+//===----------------------------------------------------------------------===//
+
+/// Label names `a0`, `a1`, ... for a universe of \p N labels.
+std::vector<std::string> namesUpTo(uint32_t N) {
+  std::vector<std::string> Names;
+  for (uint32_t L = 0; L != N; ++L)
+    Names.push_back("a" + std::to_string(L));
+  return Names;
+}
+
+DenseBitset setOf(uint32_t Universe, std::initializer_list<uint32_t> Ls) {
+  DenseBitset S(Universe);
+  for (uint32_t L : Ls)
+    S.insert(L);
+  return S;
+}
+
+/// What `printf("%-18s %s\n", Expr, Set)` prints.
+std::string printfLine(const std::string &Expr, const std::string &Set) {
+  char Buf[256];
+  int N = std::snprintf(Buf, sizeof Buf, "%-18s %s\n", Expr.c_str(),
+                        Set.c_str());
+  return std::string(Buf, N);
+}
+
+/// Runs \p Body over a writer on a temporary file; returns the file's
+/// bytes once the writer is gone.
+template <class BodyFn>
+std::string writtenBy(std::vector<std::string> Names, BodyFn Body) {
+  std::FILE *Tmp = std::tmpfile();
+  EXPECT_NE(Tmp, nullptr);
+  if (!Tmp)
+    return "";
+  {
+    LabelSetWriter W(Tmp, std::move(Names));
+    Body(W);
+  }
+  std::string Out;
+  std::rewind(Tmp);
+  char Buf[4096];
+  for (size_t N; (N = std::fread(Buf, 1, sizeof Buf, Tmp)) != 0;)
+    Out.append(Buf, N);
+  std::fclose(Tmp);
+  return Out;
+}
+
+TEST(LabelSetWriter, ExprColumnMatchesPrintfPadding) {
+  const std::string Short = "var@3(1:2)";             // 10 chars: padded
+  const std::string Exact = "app@123456(78:901)";     // 18 chars: no pad
+  const std::string Long = "letrec@1234567(890:12)";  // 22 chars: no cut
+  ASSERT_EQ(Exact.size(), LabelSetWriter::ExprColumn);
+  std::string Got = writtenBy(namesUpTo(4), [&](LabelSetWriter &W) {
+    W.exprLine(Short, setOf(4, {1}));
+    W.exprLine(Exact, setOf(4, {0, 3}));
+    W.exprLine(Long, setOf(4, {2}));
+  });
+  EXPECT_EQ(Got, printfLine(Short, "{a1}") + printfLine(Exact, "{a0, a3}") +
+                     printfLine(Long, "{a2}"));
+}
+
+TEST(LabelSetWriter, AllLabelsSkipsEmptyAndUnansweredSets) {
+  std::vector<DenseBitset> Sets = {setOf(3, {0}), setOf(3, {}),
+                                   setOf(3, {1, 2}), setOf(3, {2})};
+  std::vector<bool> Answered = {true, true, true, false};
+  uint64_t Lines = 0;
+  std::string Got = writtenBy(namesUpTo(3), [&](LabelSetWriter &W) {
+    W.allLabels(
+        4,
+        [&](uint32_t I) { return Answered[I] ? &Sets[I] : nullptr; },
+        [](uint32_t I) { return "e" + std::to_string(I); });
+    Lines = W.lines();
+  });
+  EXPECT_EQ(Got, printfLine("e0", "{a0}") + printfLine("e2", "{a1, a2}"));
+  EXPECT_EQ(Lines, 2u);
+}
+
+TEST(LabelSetWriter, SetsSpanningSeveralWords) {
+  std::string Got = writtenBy(namesUpTo(200), [](LabelSetWriter &W) {
+    W.exprLine("x", setOf(200, {199, 0, 64, 63, 130}));
+  });
+  EXPECT_EQ(Got, printfLine("x", "{a0, a63, a64, a130, a199}"));
+}
+
+TEST(LabelSetWriter, RootLine) {
+  std::string Got = writtenBy(namesUpTo(70), [](LabelSetWriter &W) {
+    W.rootLine(setOf(70, {69, 5}));
+    W.rootLine(setOf(70, {}));
+  });
+  EXPECT_EQ(Got, "L(root) = {a5, a69}\nL(root) = {}\n");
+}
+
+TEST(LabelSetWriter, OutputLargerThanABlockStaysInOrder) {
+  std::string Want;
+  uint64_t Bytes = 0;
+  std::string Got = writtenBy(namesUpTo(130), [&](LabelSetWriter &W) {
+    for (uint32_t I = 0; I != 6000; ++I) {
+      DenseBitset S = setOf(130, {I % 130, (I * 7) % 130});
+      std::string Expr = "e" + std::to_string(I);
+      W.exprLine(Expr, S);
+      std::string Set = "{";
+      S.forEach([&](uint32_t L) {
+        Set += Set.size() > 1 ? ", a" : "a";
+        Set += std::to_string(L);
+      });
+      Want += printfLine(Expr, Set + "}");
+    }
+    Bytes = W.bytes();
+  });
+  ASSERT_GT(Want.size(), 2 * LabelSetWriter::BlockBytes);
+  EXPECT_EQ(Got, Want);
+  EXPECT_EQ(Bytes, Want.size());
 }
 
 } // namespace
