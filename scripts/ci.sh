@@ -8,7 +8,10 @@
 #   1. default   - RelWithDebInfo, the tier-1 gate (all labels)
 #   2. release   - Release (-O3), unit label: the optimiser's extra
 #                  warnings run under -Werror too
-#   3. asan      - AddressSanitizer + UBSan, unit + fuzz labels
+#   3. asan      - AddressSanitizer + UBSan (LeakSanitizer included):
+#                  unit + fuzz labels, plus the serve, slice, lint and
+#                  query CLI smokes, so whole-CLI teardown of the
+#                  arena-backed module and the graphs runs leak-checked
 #   4. tsan      - ThreadSanitizer, unit label (the parallel query/kernel
 #                  paths are what TSan is here for), plus the shape
 #                  differential fuzz: it runs the kernel on 2 lanes
@@ -111,9 +114,11 @@ if [[ "${FAST}" == 0 ]]; then
   # serve-smoke rides along under ASan/UBSan so the daemon's line reader,
   # fault fallbacks, and epoch teardown get leak/overflow coverage; the
   # unit tier already includes the in-process serve tests, which is what
-  # gives TSan its epoch-swap coverage.
+  # gives TSan its epoch-swap coverage.  lint-smoke and query-smoke do the
+  # same for the CLI: the all-labels, lint-JSON and snapshot paths exit
+  # through the module's arena teardown under LeakSanitizer.
   run_preset build-asan "-DSTCFA_SANITIZE=address,undefined" \
-    -L 'unit|fuzz|serve-smoke|slice-smoke'
+    -L 'unit|fuzz|serve-smoke|slice-smoke|lint-smoke|query-smoke'
   run_preset build-tsan "-DSTCFA_SANITIZE=thread" -L unit
   ./build-tsan/tests/stcfa_fuzz_tests \
     --gtest_filter='*DifferentialFuzzShapes*' --gtest_brief=1

@@ -41,7 +41,9 @@ echo "$out"
 lines=$(printf '%s\n' "$out" | wc -l)
 [ "$lines" -eq 9 ] || { echo "serve-smoke: expected 9 replies, got $lines" >&2; exit 1; }
 
-check() { printf '%s\n' "$out" | grep -q -- "$1" \
+# A here-string, not a pipe: `grep -q` exits at its first match, and under
+# pipefail the writer's SIGPIPE would fail a check that matched.
+check() { grep -q -- "$1" <<<"$out" \
   || { echo "serve-smoke: missing $1" >&2; exit 1; }; }
 
 check '"id":1,"ok":true'          # load accepted

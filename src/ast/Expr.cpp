@@ -13,40 +13,40 @@ void ExprDeleter::operator()(Expr *E) const {
     return;
   switch (E->kind()) {
   case ExprKind::Var:
-    delete static_cast<VarExpr *>(E);
+    static_cast<VarExpr *>(E)->~VarExpr();
     return;
   case ExprKind::Lam:
-    delete static_cast<LamExpr *>(E);
+    static_cast<LamExpr *>(E)->~LamExpr();
     return;
   case ExprKind::App:
-    delete static_cast<AppExpr *>(E);
+    static_cast<AppExpr *>(E)->~AppExpr();
     return;
   case ExprKind::Let:
-    delete static_cast<LetExpr *>(E);
+    static_cast<LetExpr *>(E)->~LetExpr();
     return;
   case ExprKind::LetRecN:
-    delete static_cast<LetRecNExpr *>(E);
+    static_cast<LetRecNExpr *>(E)->~LetRecNExpr();
     return;
   case ExprKind::Lit:
-    delete static_cast<LitExpr *>(E);
+    static_cast<LitExpr *>(E)->~LitExpr();
     return;
   case ExprKind::If:
-    delete static_cast<IfExpr *>(E);
+    static_cast<IfExpr *>(E)->~IfExpr();
     return;
   case ExprKind::Tuple:
-    delete static_cast<TupleExpr *>(E);
+    static_cast<TupleExpr *>(E)->~TupleExpr();
     return;
   case ExprKind::Proj:
-    delete static_cast<ProjExpr *>(E);
+    static_cast<ProjExpr *>(E)->~ProjExpr();
     return;
   case ExprKind::Con:
-    delete static_cast<ConExpr *>(E);
+    static_cast<ConExpr *>(E)->~ConExpr();
     return;
   case ExprKind::Case:
-    delete static_cast<CaseExpr *>(E);
+    static_cast<CaseExpr *>(E)->~CaseExpr();
     return;
   case ExprKind::Prim:
-    delete static_cast<PrimExpr *>(E);
+    static_cast<PrimExpr *>(E)->~PrimExpr();
     return;
   }
   assert(false && "unknown expression kind");

@@ -129,14 +129,16 @@ private:
   TypeId Type;
 };
 
-/// Deletes an expression through its dynamic kind.  `Expr` deliberately
-/// has no virtual functions (kind-tag dispatch throughout), so deleting
-/// through the base pointer needs this explicit dispatch.
+/// Destroys an expression in place through its dynamic kind and frees
+/// nothing: the owning `Module`'s arena holds the memory.  `Expr`
+/// deliberately has no virtual functions (kind-tag dispatch throughout),
+/// so destroying through the base pointer needs this explicit dispatch.
 struct ExprDeleter {
   void operator()(Expr *E) const;
 };
 
-/// Owning pointer for arena-stored expressions.
+/// Owning pointer for arena-stored expressions: ends the object's
+/// lifetime (its child vectors own heap memory), not its storage.
 using ExprPtr = std::unique_ptr<Expr, ExprDeleter>;
 
 /// `isa<T>(E)`: true iff `E` is a `T`.  Mirrors LLVM's casting helpers.

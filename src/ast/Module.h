@@ -16,10 +16,12 @@
 #define STCFA_AST_MODULE_H
 
 #include "ast/Expr.h"
+#include "support/Arena.h"
 #include "types/Type.h"
 
 #include <algorithm>
 #include <memory>
+#include <new>
 #include <string>
 #include <unordered_map>
 
@@ -50,18 +52,18 @@ struct DataDecl {
   std::vector<ConId> Cons;
 };
 
-/// Constructs a concrete expression and wraps it in the kind-dispatching
-/// owning pointer (see `ExprDeleter`).
-template <typename T, typename... ArgTs> ExprPtr makeExprPtr(ArgTs &&...Args) {
-  return ExprPtr(new T(std::forward<ArgTs>(Args)...));
-}
-
 /// Owns a complete program.
+///
+/// Expression nodes live in a bump arena owned by the module, so a module
+/// can be neither copied nor moved: the arena lives exactly as long as the
+/// module whose expressions it holds.
 class Module {
 public:
   Module() = default;
   Module(const Module &) = delete;
   Module &operator=(const Module &) = delete;
+  Module(Module &&) = delete;
+  Module &operator=(Module &&) = delete;
 
   //===--------------------------------------------------------------------==//
   // Access
@@ -160,26 +162,24 @@ public:
   }
 
   ExprId makeVarRef(SourceLoc Loc, VarId Var) {
-    return add(makeExprPtr<VarExpr>(nextId(), Loc, Var));
+    return make<VarExpr>(Loc, Var);
   }
 
   ExprId makeLam(SourceLoc Loc, VarId Param, ExprId Body) {
     LabelId Label(static_cast<uint32_t>(Lams.size()));
-    ExprId Id = add(makeExprPtr<LamExpr>(nextId(), Loc, Label, Param,
-                                              Body));
+    ExprId Id = make<LamExpr>(Loc, Label, Param, Body);
     Lams.push_back(Id);
     setVarBinder(Param, Id);
     return Id;
   }
 
   ExprId makeApp(SourceLoc Loc, ExprId Fn, ExprId Arg) {
-    return add(makeExprPtr<AppExpr>(nextId(), Loc, Fn, Arg));
+    return make<AppExpr>(Loc, Fn, Arg);
   }
 
   ExprId makeLet(SourceLoc Loc, VarId Var, ExprId Init, ExprId Body,
                  bool IsRec) {
-    ExprId Id =
-        add(makeExprPtr<LetExpr>(nextId(), Loc, Var, Init, Body, IsRec));
+    ExprId Id = make<LetExpr>(Loc, Var, Init, Body, IsRec);
     setVarBinder(Var, Id);
     return Id;
   }
@@ -187,8 +187,7 @@ public:
   ExprId makeLetRecN(SourceLoc Loc,
                      std::vector<LetRecNExpr::Binding> Bindings,
                      ExprId Body) {
-    ExprId Id = add(
-        makeExprPtr<LetRecNExpr>(nextId(), Loc, std::move(Bindings), Body));
+    ExprId Id = make<LetRecNExpr>(Loc, std::move(Bindings), Body);
     for (const LetRecNExpr::Binding &B :
          cast<LetRecNExpr>(expr(Id))->bindings())
       setVarBinder(B.Var, Id);
@@ -196,37 +195,34 @@ public:
   }
 
   ExprId makeIntLit(SourceLoc Loc, int64_t Value) {
-    return add(makeExprPtr<LitExpr>(nextId(), Loc, Value));
+    return make<LitExpr>(Loc, Value);
   }
   ExprId makeBoolLit(SourceLoc Loc, bool Value) {
-    return add(makeExprPtr<LitExpr>(nextId(), Loc, Value));
+    return make<LitExpr>(Loc, Value);
   }
-  ExprId makeUnitLit(SourceLoc Loc) {
-    return add(makeExprPtr<LitExpr>(nextId(), Loc));
-  }
+  ExprId makeUnitLit(SourceLoc Loc) { return make<LitExpr>(Loc); }
   ExprId makeStringLit(SourceLoc Loc, Symbol Value) {
-    return add(makeExprPtr<LitExpr>(nextId(), Loc, Value));
+    return make<LitExpr>(Loc, Value);
   }
 
   ExprId makeIf(SourceLoc Loc, ExprId Cond, ExprId Then, ExprId Else) {
-    return add(makeExprPtr<IfExpr>(nextId(), Loc, Cond, Then, Else));
+    return make<IfExpr>(Loc, Cond, Then, Else);
   }
 
   ExprId makeTuple(SourceLoc Loc, std::vector<ExprId> Elems) {
-    return add(makeExprPtr<TupleExpr>(nextId(), Loc, std::move(Elems)));
+    return make<TupleExpr>(Loc, std::move(Elems));
   }
 
   ExprId makeProj(SourceLoc Loc, uint32_t Index, ExprId Tuple) {
-    return add(makeExprPtr<ProjExpr>(nextId(), Loc, Index, Tuple));
+    return make<ProjExpr>(Loc, Index, Tuple);
   }
 
   ExprId makeCon(SourceLoc Loc, ConId Con, std::vector<ExprId> Args) {
-    return add(makeExprPtr<ConExpr>(nextId(), Loc, Con, std::move(Args)));
+    return make<ConExpr>(Loc, Con, std::move(Args));
   }
 
   ExprId makeCase(SourceLoc Loc, ExprId Scrutinee, std::vector<CaseArm> Arms) {
-    ExprId Id = add(makeExprPtr<CaseExpr>(nextId(), Loc, Scrutinee,
-                                               std::move(Arms)));
+    ExprId Id = make<CaseExpr>(Loc, Scrutinee, std::move(Arms));
     for (const CaseArm &Arm : cast<CaseExpr>(expr(Id))->arms())
       for (VarId B : Arm.Binders)
         setVarBinder(B, Id);
@@ -234,18 +230,21 @@ public:
   }
 
   ExprId makePrim(SourceLoc Loc, PrimOp Op, std::vector<ExprId> Args) {
-    return add(makeExprPtr<PrimExpr>(nextId(), Loc, Op, std::move(Args)));
+    return make<PrimExpr>(Loc, Op, std::move(Args));
   }
 
 private:
-  ExprId nextId() const { return ExprId(static_cast<uint32_t>(Exprs.size())); }
-
-  ExprId add(ExprPtr E) {
-    ExprId Id = E->id();
-    Exprs.push_back(std::move(E));
+  /// Constructs a `T` with the next id in the arena and appends it.
+  template <typename T, typename... ArgTs> ExprId make(ArgTs &&...Args) {
+    ExprId Id(static_cast<uint32_t>(Exprs.size()));
+    void *Mem = Arena.allocate(sizeof(T), alignof(T));
+    Exprs.emplace_back(new (Mem) T(Id, std::forward<ArgTs>(Args)...));
     return Id;
   }
 
+  /// Declared before `Exprs`, so it outlives the in-place destructors
+  /// `Exprs` runs on destruction.
+  BumpArena Arena;
   std::vector<ExprPtr> Exprs;
   std::vector<VarInfo> Vars;
   std::vector<ExprId> Lams;

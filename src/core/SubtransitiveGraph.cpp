@@ -36,6 +36,15 @@ uint64_t nodeKey(NodeOp Op, uint32_t A, uint32_t B) {
   return ((uint64_t(Op) << 56) | (uint64_t(A) << 28) | B) + 1;
 }
 
+bool isHashConsed(NodeOp Op) {
+  return Op == NodeOp::Summary || Op == NodeOp::Summary2 ||
+         Op == NodeOp::Label || Op == NodeOp::Top;
+}
+
+bool isSummary(NodeOp Op) {
+  return Op == NodeOp::Summary || Op == NodeOp::Summary2;
+}
+
 } // namespace
 
 SubtransitiveGraph::SubtransitiveGraph(const Module &M,
@@ -92,10 +101,14 @@ bool SubtransitiveGraph::isDataType(TypeId Ty) const {
 }
 
 NodeId SubtransitiveGraph::getNode(NodeOp Op, uint32_t A, uint32_t B) {
-  uint64_t Key = nodeKey(Op, A, B);
-  uint32_t &Slot = NodeIndex.lookupOrInsert(Key, ~0u);
-  if (Slot != ~0u)
-    return NodeId(Slot);
+  // Only the shared ops probe the index; every other op reaches here once
+  // per (op, a, b), from the caller's direct-table miss.
+  uint32_t *Slot = nullptr;
+  if (isHashConsed(Op)) {
+    Slot = &NodeIndex.lookupOrInsert(nodeKey(Op, A, B), ~0u);
+    if (*Slot != ~0u)
+      return NodeId(*Slot);
+  }
   NodeId N(static_cast<uint32_t>(Ops.size()));
   Ops.push_back(Op);
   PayloadA.push_back(A);
@@ -113,7 +126,8 @@ NodeId SubtransitiveGraph::getNode(NodeOp Op, uint32_t A, uint32_t B) {
   FirstIn.push_back(NoEdge);
   FieldsOf.emplace_back();
   AliasesOf.emplace_back();
-  Slot = N.index();
+  if (Slot)
+    *Slot = N.index();
   if (InClosePhase)
     ++Stats.CloseNodes;
   else
@@ -134,12 +148,16 @@ NodeId SubtransitiveGraph::topNode() {
 }
 
 NodeId SubtransitiveGraph::canonicalizeBase(TypeId Ty, NodeOp Op,
-                                            uint32_t Payload) {
+                                            uint32_t Payload, NodeId &Slot) {
   NodeId N;
   if (Config.Congruence == CongruenceMode::ByType && isDataType(Ty))
     N = getNode(NodeOp::Summary, Ty.index(), 0);
   else
     N = getNode(Op, Payload, 0);
+  // Publish before `onCreate`: under the Undemanded policy the template
+  // can widen into Top, which asks for every abstraction's node, this one
+  // included.
+  Slot = N;
   if (!Created[N.index()]) {
     NodeType[N.index()] = Ty;
     onCreate(N);
@@ -156,8 +174,7 @@ NodeId SubtransitiveGraph::exprNode(ExprId E) {
   NodeId &Slot = NodeOfExpr[E.index()];
   if (Slot.isValid())
     return Slot;
-  Slot = canonicalizeBase(M.expr(E)->type(), NodeOp::Expr, E.index());
-  return Slot;
+  return canonicalizeBase(M.expr(E)->type(), NodeOp::Expr, E.index(), Slot);
 }
 
 NodeId SubtransitiveGraph::varNode(VarId V) {
@@ -168,8 +185,7 @@ NodeId SubtransitiveGraph::varNode(VarId V) {
   NodeId &Slot = NodeOfVar[V.index()];
   if (Slot.isValid())
     return Slot;
-  Slot = canonicalizeBase(VarType[V.index()], NodeOp::Var, V.index());
-  return Slot;
+  return canonicalizeBase(VarType[V.index()], NodeOp::Var, V.index(), Slot);
 }
 
 NodeId SubtransitiveGraph::labelNode(LabelId L) {
@@ -267,7 +283,7 @@ NodeId SubtransitiveGraph::derived(NodeOp Op, NodeId Base, uint32_t Tag) {
 
   // Fill the cache, registering the (op, base, tag) alias so demand events
   // can scan the base's edges even when several aliases share one
-  // canonical node.  (The cache-miss above guarantees this runs once per
+  // summary node.  (The cache-miss above guarantees this runs once per
   // alias.)
   switch (Op) {
   case NodeOp::Dom:
@@ -283,7 +299,8 @@ NodeId SubtransitiveGraph::derived(NodeOp Op, NodeId Base, uint32_t Tag) {
     FieldsOf[Base.index()].emplace_back(Tag, Canonical);
     break;
   }
-  AliasesOf[Canonical.index()].push_back({Op, Base, Tag});
+  if (isSummary(op(Canonical)))
+    AliasesOf[Canonical.index()].push_back({Op, Base, Tag});
   if (Demanded[Canonical.index()])
     PendingDemand.push_back({Op, Base, Tag});
 
@@ -348,8 +365,26 @@ void SubtransitiveGraph::setDemanded(NodeId N) {
   if (Demanded[N.index()])
     return;
   Demanded[N.index()] = true;
-  for (const Alias &A : AliasesOf[N.index()])
-    PendingDemand.push_back(A);
+  pushAliases(N);
+}
+
+void SubtransitiveGraph::pushAliases(NodeId N) {
+  switch (NodeOp Op = op(N)) {
+  case NodeOp::Dom:
+  case NodeOp::Ran:
+  case NodeOp::RefCell:
+  case NodeOp::Field:
+    PendingDemand.push_back(
+        {Op, NodeId(PayloadA[N.index()]), PayloadB[N.index()]});
+    return;
+  case NodeOp::Summary:
+  case NodeOp::Summary2:
+    for (const Alias &A : AliasesOf[N.index()])
+      PendingDemand.push_back(A);
+    return;
+  default:
+    return; // occurrences, binders, labels and Top are never aliases
+  }
 }
 
 void SubtransitiveGraph::materializeTemplate(NodeId N) {
@@ -421,10 +456,15 @@ LabelId SubtransitiveGraph::labelOf(NodeId N) const {
 void SubtransitiveGraph::build() {
   assert(!Built && "build() called twice");
   Built = true;
-  // Empirically ~1.5 nodes per syntax node on realistic programs (E6).
+  Span BuildSpan("build");
+  // Empirically ~1.5 nodes per syntax node on realistic programs (E6),
+  // and build plus close add a little over two edges per syntax node.
   reserveNodes(M.numExprs() + M.numExprs() / 2);
+  EdgeSet.reserve(size_t(M.numExprs()) * 2);
   forEachExprPreorder(M, M.root(),
                       [&](ExprId Id, const Expr *E) { buildExpr(Id, E); });
+  BuildSpan.arg("nodes", Stats.BuildNodes);
+  BuildSpan.arg("edges", Stats.BuildEdges);
 }
 
 void SubtransitiveGraph::buildFragment(ExprId FragmentRoot) {
@@ -732,10 +772,7 @@ void SubtransitiveGraph::appendConsequencesForDelta(
     }
 }
 
-void SubtransitiveGraph::requeueAliasesForDelta(NodeId N) {
-  for (const Alias &A : AliasesOf[N.index()])
-    PendingDemand.push_back(A);
-}
+void SubtransitiveGraph::requeueAliasesForDelta(NodeId N) { pushAliases(N); }
 
 void SubtransitiveGraph::notifyModuleGrown() {
   if (NodeOfExpr.size() < M.numExprs())

@@ -341,7 +341,7 @@ public:
                                   std::vector<std::pair<NodeId, NodeId>> &Out)
       const;
 
-  /// Re-enqueues every registered (op, base, tag) alias of \p N for demand
+  /// Re-enqueues every (op, base, tag) alias of \p N for demand
   /// reprocessing, so the next `close()` re-derives all conclusions still
   /// supported by surviving edges around \p N.
   void requeueAliasesForDelta(NodeId N);
@@ -374,7 +374,11 @@ private:
 
   void reserveNodes(size_t Expected);
   NodeId getNode(NodeOp Op, uint32_t A, uint32_t B);
-  NodeId canonicalizeBase(TypeId Ty, NodeOp Op, uint32_t Payload);
+  void pushAliases(NodeId N);
+  /// The node of an occurrence or binder, stored into its table \p Slot
+  /// (which stays put: the tables only grow outside `build`/`close`).
+  NodeId canonicalizeBase(TypeId Ty, NodeOp Op, uint32_t Payload,
+                          NodeId &Slot);
   NodeId derived(NodeOp Op, NodeId Base, uint32_t Tag);
   NodeId topNode();
   TypeId derivedType(NodeOp Op, NodeId Base, uint32_t Tag) const;
@@ -406,14 +410,21 @@ private:
   std::vector<uint32_t> FirstOut;
   std::vector<uint32_t> FirstIn;
   /// Per-node caches of resolved derived nodes: the hot path of the close
-  /// phase.  A valid entry means the (op, base) alias is registered.
+  /// phase, and the one place each Dom/Ran/RefCell/Field node is created
+  /// from.  A valid entry means the (op, base) alias is registered.
   std::vector<NodeId> DomOf;
   std::vector<NodeId> RanOf;
   std::vector<NodeId> RefCellOf;
   std::vector<std::vector<std::pair<uint32_t, NodeId>>> FieldsOf;
-  /// Aliases resolving to each canonical node.
+  /// Aliases resolving to each summary node; empty for every other node.
+  /// A non-summary derived node has exactly one alias, its own
+  /// (op, payloadA, payloadB), so it needs no list.
   std::vector<std::vector<Alias>> AliasesOf;
 
+  /// Hash-consing index for the nodes several requests can resolve to:
+  /// Summary, Summary2, Label and Top.  Every other op is created exactly
+  /// once, through its direct table (`NodeOfExpr`, `NodeOfVar`, `DomOf`,
+  /// `RanOf`, `RefCellOf`, `FieldsOf`).
   U64Map NodeIndex;
   U64Set EdgeSet;
   U64Set MaterializedSet;

@@ -27,6 +27,14 @@ uint64_t edgeKey(NodeId A, NodeId B) {
   return (uint64_t(A.index()) + 1) << 32 | (uint64_t(B.index()) + 1);
 }
 
+/// Names bound into a fragment environment: the session's deterministic
+/// measure of name-resolution set-up work (linear in the definitions when
+/// a session is built, linear in the edit position per edit).
+Counter &envBinds() {
+  static Counter &C = counter("delta.env_binds");
+  return C;
+}
+
 std::string renderDiags(DiagnosticEngine &Diags) {
   std::string R = Diags.render();
   while (!R.empty() && R.back() == '\n')
@@ -259,13 +267,11 @@ void DeltaSession::destroyShadowState() {
   }
 }
 
-std::vector<std::pair<Symbol, VarId>>
-DeltaSession::envBefore(size_t DefIndex) const {
-  std::vector<std::pair<Symbol, VarId>> Env;
-  Env.reserve(DefIndex);
+FragmentEnv DeltaSession::envBefore(size_t DefIndex) const {
+  FragmentEnv Env;
   for (size_t I = 0; I != DefIndex; ++I)
-    Env.emplace_back(const_cast<Module &>(*M).sym(Defs[I].Name),
-                     Defs[I].Binder);
+    Env.bind(const_cast<Module &>(*M).sym(Defs[I].Name), Defs[I].Binder);
+  envBinds().add(DefIndex);
   return Env;
 }
 
@@ -307,11 +313,14 @@ Status DeltaSession::initFromTexts() {
   M = std::make_unique<Module>();
 
   DiagnosticEngine Diags;
+  // One environment grows across the definitions: definition K sees
+  // exactly the names of definitions 0..K-1, without rebuilding them.
+  FragmentEnv Env;
   for (size_t K = 0; K != Defs.size(); ++K) {
     DefRecord &D = Defs[K];
     const uint32_t E0 = M->numExprs(), L0 = M->numLabels();
     FragmentDef FD;
-    if (!parseTopDefFragment(*M, D.Text, envBefore(K), Diags, FD))
+    if (!parseTopDefFragment(*M, D.Text, Env, Diags, FD))
       return Status::invalidArgument("definition '" + D.Name +
                                      "' failed to parse as a fragment: " +
                                      renderDiags(Diags));
@@ -319,6 +328,8 @@ Status DeltaSession::initFromTexts() {
     D.IsRec = FD.IsRec;
     D.Binder = FD.Binder;
     D.Init = FD.Init;
+    Env.bind(FD.Name, FD.Binder);
+    envBinds().inc();
     for (uint32_t E = E0; E != M->numExprs(); ++E)
       D.Exprs.push_back(E);
     for (uint32_t L = L0; L != M->numLabels(); ++L)
@@ -327,7 +338,7 @@ Status DeltaSession::initFromTexts() {
   }
   {
     const uint32_t E0 = M->numExprs(), L0 = M->numLabels();
-    ExprId B = parseExprFragment(*M, Body.Text, envBefore(Defs.size()), Diags);
+    ExprId B = parseExprFragment(*M, Body.Text, Env, Diags);
     if (!B.isValid())
       return Status::invalidArgument("program body failed to parse: " +
                                      renderDiags(Diags));

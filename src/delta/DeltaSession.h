@@ -76,6 +76,7 @@
 #include "ast/Module.h"
 #include "core/FrozenGraph.h"
 #include "core/SubtransitiveGraph.h"
+#include "parser/Parser.h"
 #include "support/Status.h"
 
 #include <memory>
@@ -244,7 +245,7 @@ private:
   Status initFromTexts();
   void destroyShadowState();
   void relinkSpine();
-  std::vector<std::pair<Symbol, VarId>> envBefore(size_t DefIndex) const;
+  FragmentEnv envBefore(size_t DefIndex) const;
   void collectExternalRefs(const DefRecord &D, ExprId SubtreeRoot,
                            std::vector<uint32_t> &Out) const;
 

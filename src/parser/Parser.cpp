@@ -39,11 +39,11 @@ public:
 
   /// Parses one `let name = expr;` / `letrec name = expr;` item with the
   /// given name environment in scope.  See `parseTopDefFragment`.
-  bool runTopDefFragment(const std::vector<std::pair<Symbol, VarId>> &Env,
-                         FragmentDef &Out, VarId ReuseBinder);
+  bool runTopDefFragment(const FragmentEnv &Env, FragmentDef &Out,
+                         VarId ReuseBinder);
 
   /// Parses one bare expression with the given environment in scope.
-  ExprId runExprFragment(const std::vector<std::pair<Symbol, VarId>> &Env);
+  ExprId runExprFragment(const FragmentEnv &Env);
 
 private:
   //===--- token plumbing --------------------------------------------------//
@@ -117,11 +117,17 @@ private:
     It->second.pop_back();
   }
 
+  /// The innermost binder of \p Name: a local one, else the fragment
+  /// environment's.
   VarId lookupVar(Symbol Name) {
     auto It = Scopes.find(Name);
     if (It == Scopes.end() || It->second.empty())
-      return VarId::invalid();
+      return outerVar(Name);
     return It->second.back();
+  }
+
+  VarId outerVar(Symbol Name) const {
+    return Env ? Env->lookup(Name) : VarId::invalid();
   }
 
   //===--- grammar ---------------------------------------------------------//
@@ -198,6 +204,9 @@ private:
   std::unique_ptr<Module> Owned;
   Module *M;
   std::unordered_map<Symbol, std::vector<VarId>> Scopes;
+  /// Fragment mode: the names bound outside the fragment, consulted when
+  /// `Scopes` has no binder.  Null in whole-program mode.
+  const FragmentEnv *Env = nullptr;
   /// One frame per letrec group currently being parsed.
   std::vector<std::vector<PendingRef>> PendingGroups;
   /// Datatype names referenced in types, for post-parse validation.
@@ -314,11 +323,9 @@ std::unique_ptr<Module> ParserImpl::run() {
   return std::move(Owned);
 }
 
-bool ParserImpl::runTopDefFragment(
-    const std::vector<std::pair<Symbol, VarId>> &Env, FragmentDef &Out,
-    VarId ReuseBinder) {
-  for (const auto &[S, V] : Env)
-    Scopes[S].push_back(V);
+bool ParserImpl::runTopDefFragment(const FragmentEnv &OuterEnv,
+                                   FragmentDef &Out, VarId ReuseBinder) {
+  Env = &OuterEnv;
 
   Out.IsRec = at(TokenKind::KwLetRec);
   if (!eat(TokenKind::KwLetRec) && !eat(TokenKind::KwLet)) {
@@ -366,10 +373,8 @@ bool ParserImpl::runTopDefFragment(
   return !Failed;
 }
 
-ExprId ParserImpl::runExprFragment(
-    const std::vector<std::pair<Symbol, VarId>> &Env) {
-  for (const auto &[S, V] : Env)
-    Scopes[S].push_back(V);
+ExprId ParserImpl::runExprFragment(const FragmentEnv &OuterEnv) {
+  Env = &OuterEnv;
   ExprId E = parseExpr();
   if (!Failed)
     expect(TokenKind::Eof, "end of input");
@@ -439,17 +444,21 @@ bool ParserImpl::parseRecBindings(std::vector<Symbol> &Names,
   for (size_t I = 0; I != Names.size(); ++I) {
     auto It = Scopes.find(Names[I]);
     assert(It != Scopes.end() && It->second.size() >= 1);
-    if (It->second.size() < 2)
+    VarId Outer = It->second.size() >= 2 ? It->second[It->second.size() - 2]
+                                         : outerVar(Names[I]);
+    if (!Outer.isValid())
       continue;
-    VarId Outer = It->second[It->second.size() - 2];
     for (const LetRecNExpr::Binding &B : Bindings) {
       forEachExprPreorder(*M, B.Init, [&](ExprId, const Expr *E) {
         const auto *VE = dyn_cast<VarExpr>(E);
         if (VE && VE->isResolved() && VE->var() == Outer && !Failed) {
-          Diags.error(M->expr(B.Init)->loc(),
-                      "'" + std::string(M->text(Names[I])) +
-                          "' is shadowed by a later member of this letrec "
-                          "group; rename one of them");
+          // Appended, not `"'" + std::string(...)`: GCC 12's -O3
+          // -Wrestrict misfires on that form (see the Release preset).
+          std::string Message = "'";
+          Message += M->text(Names[I]);
+          Message += "' is shadowed by a later member of this letrec "
+                     "group; rename one of them";
+          Diags.error(M->expr(B.Init)->loc(), std::move(Message));
           Failed = true;
         }
       });
@@ -952,10 +961,10 @@ std::unique_ptr<Module> stcfa::parseProgram(std::string_view Source,
   return M;
 }
 
-bool stcfa::parseTopDefFragment(
-    Module &M, std::string_view Text,
-    const std::vector<std::pair<Symbol, VarId>> &Env, DiagnosticEngine &Diags,
-    FragmentDef &Out, VarId ReuseBinder) {
+bool stcfa::parseTopDefFragment(Module &M, std::string_view Text,
+                                const FragmentEnv &Env,
+                                DiagnosticEngine &Diags, FragmentDef &Out,
+                                VarId ReuseBinder) {
   static Counter &Fragments = counter("parse.fragments");
   static Counter &Failures = counter("parse.fragment_failures");
   Fragments.inc();
@@ -966,10 +975,9 @@ bool stcfa::parseTopDefFragment(
   return false;
 }
 
-ExprId stcfa::parseExprFragment(
-    Module &M, std::string_view Text,
-    const std::vector<std::pair<Symbol, VarId>> &Env,
-    DiagnosticEngine &Diags) {
+ExprId stcfa::parseExprFragment(Module &M, std::string_view Text,
+                                const FragmentEnv &Env,
+                                DiagnosticEngine &Diags) {
   static Counter &Fragments = counter("parse.fragments");
   static Counter &Failures = counter("parse.fragment_failures");
   Fragments.inc();

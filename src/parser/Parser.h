@@ -71,6 +71,28 @@ std::unique_ptr<Module> parseProgram(std::string_view Source,
 // would produce for the same text in context; the delta layer's
 // canonical<->shadow id mapping relies on that.
 
+/// The free names a fragment resolves from outside itself: each name maps
+/// to the binder of its latest `bind`.  The delta layer grows one of these
+/// across a program's definitions, so parsing definition K costs the size
+/// of its text, not K.
+class FragmentEnv {
+public:
+  void bind(Symbol Name, VarId Binder) {
+    if (Name.index() >= BinderOf.size())
+      BinderOf.resize(Name.index() + 1, VarId::invalid());
+    BinderOf[Name.index()] = Binder;
+  }
+
+  /// The binder \p Name resolves to; invalid when unbound.
+  VarId lookup(Symbol Name) const {
+    return Name.index() < BinderOf.size() ? BinderOf[Name.index()]
+                                          : VarId::invalid();
+  }
+
+private:
+  std::vector<VarId> BinderOf; // indexed by Symbol
+};
+
 /// One top-level definition parsed in isolation.
 struct FragmentDef {
   Symbol Name;
@@ -83,20 +105,18 @@ struct FragmentDef {
 };
 
 /// Parses `let <name> = <expr>;` or `letrec <name> = <expr>;` into \p M,
-/// resolving free names through \p Env (outermost first; later entries
-/// shadow earlier ones).  Multi-binding `letrec ... and ...` groups and
-/// `data` declarations are rejected.  Returns false with diagnostics in
-/// \p Diags on any error.
+/// resolving free names through \p Env.  Multi-binding
+/// `letrec ... and ...` groups and `data` declarations are rejected.
+/// Returns false with diagnostics in \p Diags on any error.
 bool parseTopDefFragment(Module &M, std::string_view Text,
-                         const std::vector<std::pair<Symbol, VarId>> &Env,
-                         DiagnosticEngine &Diags, FragmentDef &Out,
+                         const FragmentEnv &Env, DiagnosticEngine &Diags,
+                         FragmentDef &Out,
                          VarId ReuseBinder = VarId::invalid());
 
 /// Parses one bare expression (e.g. a replacement program body) into \p M
 /// under \p Env.  Returns an invalid id with diagnostics on error.
 ExprId parseExprFragment(Module &M, std::string_view Text,
-                         const std::vector<std::pair<Symbol, VarId>> &Env,
-                         DiagnosticEngine &Diags);
+                         const FragmentEnv &Env, DiagnosticEngine &Diags);
 
 } // namespace stcfa
 

@@ -6,8 +6,10 @@
 
 #include "sema/Infer.h"
 
+#include "support/Trace.h"
+
 #include <algorithm>
-#include <unordered_map>
+#include <span>
 
 using namespace stcfa;
 
@@ -139,42 +141,54 @@ private:
   TypeId instantiate(const Scheme &S) {
     if (S.Quantified.empty())
       return S.Body;
-    std::unordered_map<uint32_t, TypeId> Subst;
+    for (uint32_t Q : S.Quantified) {
+      TypeId Fresh = freshVar();
+      if (Q >= InstanceOf.size())
+        InstanceOf.resize(Q + 1, TypeId::invalid());
+      if (!InstanceOf[Q].isValid())
+        InstanceOf[Q] = Fresh;
+    }
+    TypeId Out = substitute(S.Body);
     for (uint32_t Q : S.Quantified)
-      Subst.emplace(Q, freshVar());
-    return substitute(S.Body, Subst);
+      InstanceOf[Q] = TypeId::invalid();
+    return Out;
   }
 
-  TypeId substitute(TypeId T, const std::unordered_map<uint32_t, TypeId> &S) {
+  /// \p T with every variable that has an `InstanceOf` entry replaced.
+  TypeId substitute(TypeId T) {
     T = resolveShallow(T);
-    // Copy: the recursive calls below may intern new types and invalidate
-    // references into the table.
-    Type Node = TT.type(T);
-    if (Node.Kind == TypeKind::Var) {
-      auto It = S.find(Node.VarNum);
-      return It == S.end() ? T : It->second;
-    }
-    if (Node.Args.empty())
-      return T;
-    std::vector<TypeId> Args;
-    Args.reserve(Node.Args.size());
-    for (TypeId A : Node.Args)
-      Args.push_back(substitute(A, S));
-    return rebuild(Node.Kind, std::move(Args));
+    const Type &Node = TT.type(T);
+    if (Node.Kind == TypeKind::Var)
+      return Node.VarNum < InstanceOf.size() &&
+                     InstanceOf[Node.VarNum].isValid()
+                 ? InstanceOf[Node.VarNum]
+                 : T;
+    return mapArgs(T, [&](TypeId A) { return substitute(A); });
   }
 
-  TypeId rebuild(TypeKind Kind, std::vector<TypeId> Args) {
-    switch (Kind) {
-    case TypeKind::Arrow:
-      return TT.arrowType(Args[0], Args[1]);
-    case TypeKind::Tuple:
-      return TT.tupleType(std::move(Args));
-    case TypeKind::Ref:
-      return TT.refType(Args[0]);
-    default:
-      assert(false && "rebuild of a leaf type");
-      return TT.unitType();
+  /// Rebuilds the compound type \p T over `Fn` of each argument, interning
+  /// the arguments left to right before the result; returns \p T itself
+  /// when no argument changed (or it has none).  The arguments are staged
+  /// on `ArgStack`, and re-read from the table after every call because
+  /// `Fn` may intern new types.
+  template <typename FnT> TypeId mapArgs(TypeId T, FnT Fn) {
+    const size_t N = TT.type(T).Args.size();
+    if (N == 0)
+      return T;
+    const size_t Base = ArgStack.size();
+    bool Changed = false;
+    for (size_t I = 0; I != N; ++I) {
+      TypeId A = TT.type(T).Args[I];
+      TypeId Mapped = Fn(A);
+      Changed |= Mapped != A;
+      ArgStack.push_back(Mapped);
     }
+    TypeId Out = T;
+    if (Changed)
+      Out = TT.compoundType(TT.type(T).Kind,
+                            std::span<const TypeId>(&ArgStack[Base], N));
+    ArgStack.resize(Base);
+    return Out;
   }
 
   /// Quantifies the free variables of \p T whose level is deeper than the
@@ -235,25 +249,12 @@ private:
   /// Fully resolves \p T; only valid once inference is finished (memoized).
   TypeId zonk(TypeId T) {
     T = resolveShallow(T);
-    auto It = ZonkMemo.find(T);
-    if (It != ZonkMemo.end())
-      return It->second;
-    // Copy: recursive zonks may intern new types (see `substitute`).
-    Type Node = TT.type(T);
-    TypeId Out = T;
-    if (!Node.Args.empty()) {
-      std::vector<TypeId> Args;
-      Args.reserve(Node.Args.size());
-      bool Changed = false;
-      for (TypeId A : Node.Args) {
-        TypeId Z = zonk(A);
-        Changed |= (Z != A);
-        Args.push_back(Z);
-      }
-      if (Changed)
-        Out = rebuild(Node.Kind, std::move(Args));
-    }
-    ZonkMemo.emplace(T, Out);
+    if (T.index() >= ZonkMemo.size())
+      ZonkMemo.resize(TT.size(), TypeId::invalid());
+    if (ZonkMemo[T.index()].isValid())
+      return ZonkMemo[T.index()];
+    TypeId Out = mapArgs(T, [&](TypeId A) { return zonk(A); });
+    ZonkMemo[T.index()] = Out;
     return Out;
   }
 
@@ -276,7 +277,12 @@ private:
   std::vector<uint32_t> VarLevel;
   std::vector<bool> NoGeneralize;
   std::vector<PendingProj> PendingProjs;
-  std::unordered_map<TypeId, TypeId> ZonkMemo;
+  /// Per type variable number: its fresh instance during `instantiate`.
+  std::vector<TypeId> InstanceOf;
+  /// Scratch for `mapArgs`: one frame of arguments per nesting level.
+  std::vector<TypeId> ArgStack;
+  /// Per TypeId: its zonked form, once computed.
+  std::vector<TypeId> ZonkMemo;
   uint32_t CurrentLevel = 0;
   bool Ok = true;
 };
@@ -318,7 +324,7 @@ bool InferCtx::run() {
   // Final pass: resolve every recorded occurrence type.  ZonkMemo keeps
   // this linear even when instantiated types share large subtrees.  Clear
   // it first: error rendering may have cached partially-resolved entries.
-  ZonkMemo.clear();
+  ZonkMemo.assign(TT.size(), TypeId::invalid());
   for (uint32_t I = 0, E = M.numExprs(); I != E; ++I) {
     Expr *Ex = M.expr(ExprId(I));
     assert(Ex->type().isValid() && "expression missed by inference");
@@ -442,7 +448,7 @@ TypeId InferCtx::inferNonLet(const Expr *E) {
     std::vector<TypeId> Fields;
     for (ExprId C : cast<TupleExpr>(E)->elems())
       Fields.push_back(inferExpr(C));
-    Result = TT.tupleType(std::move(Fields));
+    Result = TT.tupleType(Fields);
     break;
   }
   case ExprKind::Proj: {
@@ -543,25 +549,28 @@ TypeId InferCtx::primType(const PrimExpr *P) {
 }
 
 bool stcfa::inferTypes(Module &M, DiagnosticEngine &Diags) {
+  Span InferSpan("infer");
   InferCtx Ctx(M, Diags);
-  return Ctx.run();
+  bool Ok = Ctx.run();
+  InferSpan.arg("exprs", M.numExprs());
+  InferSpan.arg("types", M.types().size());
+  return Ok;
 }
 
 TypeMetrics stcfa::computeTypeMetrics(const Module &M) {
   const TypeTable &TT = M.types();
   TypeMetrics Out;
   // Memoized tree size with saturation: instantiated polymorphic types can
-  // share exponentially large trees.
-  std::unordered_map<TypeId, uint64_t> SizeMemo;
+  // share exponentially large trees.  0 marks "not computed yet".
+  std::vector<uint64_t> SizeMemo(TT.size(), 0);
   constexpr uint64_t Cap = 1ull << 32;
   auto size = [&](auto &&Self, TypeId T) -> uint64_t {
-    auto It = SizeMemo.find(T);
-    if (It != SizeMemo.end())
-      return It->second;
+    if (uint64_t S = SizeMemo[T.index()])
+      return S;
     uint64_t S = 1;
     for (TypeId A : TT.type(T).Args)
       S = std::min(Cap, S + Self(Self, A));
-    SizeMemo.emplace(T, S);
+    SizeMemo[T.index()] = S;
     return S;
   };
 

@@ -144,13 +144,25 @@ public:
   /// Number of stored keys.
   size_t size() const { return Count; }
 
+  /// Sizes the table so that \p Expected keys fit without a rehash.
+  /// Never shrinks; membership is unaffected (tombstones are dropped).
+  void reserve(size_t Expected) {
+    size_t Capacity = Slots.size();
+    while ((Expected + 1) * 4 >= Capacity * 3)
+      Capacity *= 2;
+    if (Capacity != Slots.size())
+      rehash(Capacity);
+  }
+
 private:
   static constexpr size_t InitialCapacity = 64;
   static constexpr uint64_t Tombstone = ~0ULL;
 
-  void grow() {
+  void grow() { rehash(Slots.size() * 2); }
+
+  void rehash(size_t Capacity) {
     std::vector<uint64_t> Old = std::move(Slots);
-    Slots.assign(Old.size() * 2, 0);
+    Slots.assign(Capacity, 0);
     size_t Mask = Slots.size() - 1;
     for (uint64_t Key : Old) {
       if (Key == 0 || Key == Tombstone)

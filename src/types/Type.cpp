@@ -10,27 +10,27 @@
 
 using namespace stcfa;
 
-TypeId TypeTable::get(Type T) {
-  uint64_t H = hashType(T);
-  std::vector<TypeId> &Bucket = Buckets[H];
-  for (TypeId Id : Bucket) {
+TypeId TypeTable::get(TypeKind Kind, uint32_t VarNum, Symbol Name,
+                     std::span<const TypeId> Args) {
+  uint64_t H = hashCombine(static_cast<uint64_t>(Kind),
+                           (uint64_t(VarNum) << 32) | (Name.index() + 1));
+  for (TypeId A : Args)
+    H = hashCombine(H, A.index());
+  uint32_t &Newest = NewestOfHash.lookupOrInsert(H ? H : 1, ~0u);
+  for (TypeId Id = Newest == ~0u ? TypeId::invalid() : TypeId(Newest);
+       Id.isValid(); Id = NextSameHash[Id.index()]) {
     const Type &Existing = Nodes[Id.index()];
-    if (Existing.Kind == T.Kind && Existing.VarNum == T.VarNum &&
-        Existing.Name == T.Name && Existing.Args == T.Args)
+    if (Existing.Kind == Kind && Existing.VarNum == VarNum &&
+        Existing.Name == Name &&
+        std::equal(Existing.Args.begin(), Existing.Args.end(), Args.begin(),
+                   Args.end()))
       return Id;
   }
   TypeId Id(static_cast<uint32_t>(Nodes.size()));
-  Nodes.push_back(std::move(T));
-  Bucket.push_back(Id);
+  Nodes.push_back({Kind, VarNum, Name, {Args.begin(), Args.end()}});
+  NextSameHash.push_back(Newest == ~0u ? TypeId::invalid() : TypeId(Newest));
+  Newest = Id.index();
   return Id;
-}
-
-uint64_t TypeTable::hashType(const Type &T) const {
-  uint64_t H = hashCombine(static_cast<uint64_t>(T.Kind),
-                           (uint64_t(T.VarNum) << 32) | (T.Name.index() + 1));
-  for (TypeId A : T.Args)
-    H = hashCombine(H, A.index());
-  return H;
 }
 
 uint32_t TypeTable::treeSize(TypeId Id) const {

@@ -31,8 +31,9 @@
 #include "support/StringInterner.h"
 
 #include <cassert>
+#include <initializer_list>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace stcfa {
@@ -64,10 +65,10 @@ struct Type {
 class TypeTable {
 public:
   TypeTable() {
-    IntTy = get({TypeKind::Int, 0, Symbol(), {}});
-    BoolTy = get({TypeKind::Bool, 0, Symbol(), {}});
-    UnitTy = get({TypeKind::Unit, 0, Symbol(), {}});
-    StringTy = get({TypeKind::String, 0, Symbol(), {}});
+    IntTy = get(TypeKind::Int, 0, Symbol(), {});
+    BoolTy = get(TypeKind::Bool, 0, Symbol(), {});
+    UnitTy = get(TypeKind::Unit, 0, Symbol(), {});
+    StringTy = get(TypeKind::String, 0, Symbol(), {});
   }
 
   TypeId intType() const { return IntTy; }
@@ -76,20 +77,31 @@ public:
   TypeId stringType() const { return StringTy; }
 
   TypeId varType(uint32_t VarNum) {
-    return get({TypeKind::Var, VarNum, Symbol(), {}});
+    return get(TypeKind::Var, VarNum, Symbol(), {});
   }
   TypeId arrowType(TypeId Param, TypeId Result) {
-    return get({TypeKind::Arrow, 0, Symbol(), {Param, Result}});
+    const TypeId Args[] = {Param, Result};
+    return get(TypeKind::Arrow, 0, Symbol(), Args);
   }
-  TypeId tupleType(std::vector<TypeId> Fields) {
+  TypeId tupleType(std::span<const TypeId> Fields) {
     assert(Fields.size() >= 2 && "tuple types have at least two fields");
-    return get({TypeKind::Tuple, 0, Symbol(), std::move(Fields)});
+    return get(TypeKind::Tuple, 0, Symbol(), Fields);
   }
-  TypeId dataType(Symbol Name) {
-    return get({TypeKind::Data, 0, Name, {}});
+  TypeId tupleType(std::initializer_list<TypeId> Fields) {
+    return tupleType(std::span<const TypeId>(Fields.begin(), Fields.size()));
   }
+  TypeId dataType(Symbol Name) { return get(TypeKind::Data, 0, Name, {}); }
   TypeId refType(TypeId Content) {
-    return get({TypeKind::Ref, 0, Symbol(), {Content}});
+    return get(TypeKind::Ref, 0, Symbol(), {&Content, 1});
+  }
+  /// The arrow, tuple or ref type of kind \p Kind over \p Args (an
+  /// arrow takes two, a ref one, a tuple at least two).
+  TypeId compoundType(TypeKind Kind, std::span<const TypeId> Args) {
+    assert((Kind == TypeKind::Arrow || Kind == TypeKind::Tuple ||
+            Kind == TypeKind::Ref) &&
+           "not a compound type kind");
+    return Kind == TypeKind::Tuple ? tupleType(Args)
+                                   : get(Kind, 0, Symbol(), Args);
   }
 
   const Type &type(TypeId Id) const {
@@ -116,14 +128,18 @@ public:
   std::string render(TypeId Id, const StringInterner &Strings) const;
 
 private:
-  TypeId get(Type T);
-  uint64_t hashType(const Type &T) const;
+  /// Interns the type; the `Args` vector is allocated only for a new one.
+  TypeId get(TypeKind Kind, uint32_t VarNum, Symbol Name,
+             std::span<const TypeId> Args);
   /// Like `render`, but parenthesizes arrows and refs so the result can be
   /// embedded on the left of `->`.
   std::string renderAtom(TypeId Id, const StringInterner &Strings) const;
 
   std::vector<Type> Nodes;
-  std::unordered_map<uint64_t, std::vector<TypeId>> Buckets;
+  /// Structural hash -> the newest type with that hash; older types with
+  /// the same hash follow through `NextSameHash`.
+  U64Map NewestOfHash;
+  std::vector<TypeId> NextSameHash;
   TypeId IntTy, BoolTy, UnitTy, StringTy;
 };
 

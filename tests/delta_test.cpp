@@ -16,6 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "delta/DeltaSession.h"
+#include "support/Metrics.h"
 #include "testgen/ShapeGen.h"
 
 #include "DeltaTestUtil.h"
@@ -71,6 +72,38 @@ TEST(DeltaSession, CreateMatchesFreshParse) {
   EXPECT_EQ(Sess->numLabels(), M->numLabels());
 
   EXPECT_EQ(compareToFreshRebuild(*Sess, "create(deep:6)"), "");
+}
+
+TEST(DeltaSession, CreateBindsEachDefinitionNameOnce) {
+  // Definition K resolves its free names through one environment grown
+  // across definitions 0..K-1.  Rebuilding that prefix per definition
+  // would bind N(N-1)/2 names: quadratic construction.
+  Counter &Binds = counter("delta.env_binds");
+  auto bindsFor = [&](const char *Spec, uint64_t &Defs) {
+    const uint64_t Before = Binds.value();
+    auto Sess = makeSession(shapeProgram(Spec));
+    EXPECT_TRUE(Sess && Sess->incremental()) << Spec;
+    Defs = Sess ? Sess->numDefs() : 0;
+    return Binds.value() - Before;
+  };
+  uint64_t SmallDefs = 0, LargeDefs = 0;
+  const uint64_t Small = bindsFor("deep:512", SmallDefs);
+  const uint64_t Large = bindsFor("deep:2048", LargeDefs);
+  EXPECT_EQ(Small, SmallDefs);
+  EXPECT_EQ(Large, LargeDefs);
+  EXPECT_LE(Large, 4 * Small) << "4x the definitions, more than 4x the work";
+}
+
+TEST(DeltaSession, CreateResolvesShadowedTopLevelNames) {
+  // A later definition of `f` shadows the earlier one for every
+  // definition after it, and only for those.
+  auto Sess = makeSession("let f = fn x => x;\n"
+                          "let g = fn y => f y;\n"
+                          "let f = fn z => g z;\n"
+                          "let h = fn w => f w;\n"
+                          "h (fn q => q)");
+  ASSERT_TRUE(Sess);
+  EXPECT_EQ(compareToFreshRebuild(*Sess, "create(shadowed f)"), "");
 }
 
 TEST(DeltaSession, PureBodyProgramHasNoDefs) {

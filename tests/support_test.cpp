@@ -337,7 +337,7 @@ TEST(CancellationToken, CancelPropagatesAcrossCopies) {
 std::vector<std::string> namesUpTo(uint32_t N) {
   std::vector<std::string> Names;
   for (uint32_t L = 0; L != N; ++L)
-    Names.push_back("a" + std::to_string(L));
+    Names.push_back(std::string("a").append(std::to_string(L)));
   return Names;
 }
 
@@ -400,7 +400,7 @@ TEST(LabelSetWriter, AllLabelsSkipsEmptyAndUnansweredSets) {
     W.allLabels(
         4,
         [&](uint32_t I) { return Answered[I] ? &Sets[I] : nullptr; },
-        [](uint32_t I) { return "e" + std::to_string(I); });
+        [](uint32_t I) { return std::string("e").append(std::to_string(I)); });
     Lines = W.lines();
   });
   EXPECT_EQ(Got, printfLine("e0", "{a0}") + printfLine("e2", "{a1, a2}"));
@@ -428,7 +428,7 @@ TEST(LabelSetWriter, OutputLargerThanABlockStaysInOrder) {
   std::string Got = writtenBy(namesUpTo(130), [&](LabelSetWriter &W) {
     for (uint32_t I = 0; I != 6000; ++I) {
       DenseBitset S = setOf(130, {I % 130, (I * 7) % 130});
-      std::string Expr = "e" + std::to_string(I);
+      std::string Expr = std::string("e").append(std::to_string(I));
       W.exprLine(Expr, S);
       std::string Set = "{";
       S.forEach([&](uint32_t L) {
