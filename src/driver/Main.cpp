@@ -14,39 +14,39 @@
 ///   stcfa program.stml --run
 /// \endcode
 ///
+/// `runTool` is four steps: flag parsing (`parseFlags`), validation of
+/// every flag value and combination into `Options` + `PipelineOptions`
+/// before any input is read (`validate`), dispatch to the daemon, the
+/// snapshot path or the live pipeline, and the per-mode output (query,
+/// lint, slice, run).
+///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/DeadCodeAwareCFA.h"
-#include "analysis/HybridCFA.h"
-#include "analysis/StandardCFA.h"
 #include "apps/CallGraph.h"
 #include "apps/EffectsAnalysis.h"
 #include "apps/KLimitedCFA.h"
 #include "ast/Printer.h"
-#include "core/FrozenGraph.h"
-#include "core/QueryEngine.h"
 #include "gen/Corpus.h"
 #include "gen/Generators.h"
-#include "testgen/ShapeGen.h"
 #include "interp/Interpreter.h"
 #include "lint/LintEngine.h"
 #include "lint/Render.h"
+#include "pipeline/Pipeline.h"
+#include "sema/Infer.h"
+#include "serve/Server.h"
 #include "slice/DeadCode.h"
 #include "slice/Export.h"
 #include "slice/Slicer.h"
-#include "core/LabelSetKernel.h"
-#include "parser/Parser.h"
-#include "poly/Polyvariant.h"
-#include "sema/Infer.h"
-#include "serve/Server.h"
 #include "snapshot/Snapshot.h"
 #include "support/LabelSetWriter.h"
 #include "support/Metrics.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
-#include "unify/UnificationCFA.h"
+#include "testgen/ShapeGen.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -59,20 +59,30 @@ using namespace stcfa;
 
 namespace {
 
+/// Upper bound on `--threads`: every pool spawns its lanes up front.
+constexpr uint64_t MaxThreads = 256;
+/// Upper bound on `--timeout-ms` (about 31 years), so the deadline's
+/// clock arithmetic cannot overflow.
+constexpr uint64_t MaxTimeoutMs = 1000000000000ull;
+/// What the flag-parsing and validation steps return to keep going.
+constexpr int Continue = -1;
+
 struct Options {
   std::string InputFile;
   std::string Corpus;
   std::string Analysis = "subtransitive";
   std::string Query = "labels";
+  /// K of `--query=klimited:K`.
+  uint32_t KLimit = 0;
   std::string Congruence = "bytype";
   std::string Policy = "paper";
   unsigned Threads = 1;
   /// Batch size above which batched queries dispatch to the label-set
-  /// kernel; -1 = flag not given (engine default), 0 = kernel disabled.
-  int64_t KernelThreshold = -1;
-  /// Level-merge threshold for the kernel's chunked scheduler; -1 =
-  /// flag not given (kernel default), <= 1 = per-level barriers.
-  int64_t KernelChunkRows = -1;
+  /// kernel; 0 = kernel disabled.
+  uint64_t KernelThreshold = QueryEngine::DefaultKernelThreshold;
+  /// Level-merge threshold for the kernel's chunked scheduler; <= 1 =
+  /// per-level barriers.
+  uint32_t KernelChunkRows = LabelSetKernel::DefaultChunkRows;
   /// `--gen-shape=<family>:<N>[:<seed>]`: print the generated stress
   /// program and exit.
   std::string GenShape;
@@ -139,6 +149,11 @@ struct Options {
   bool governed() const {
     return TimeoutMs >= 0 || CloseBudget > 0 || !Degrade.empty();
   }
+  /// True when the program text comes from a corpus or a named file
+  /// (not stdin).
+  bool namedInput() const {
+    return !Corpus.empty() || (!InputFile.empty() && InputFile != "-");
+  }
 };
 
 int usage(const char *Argv0) {
@@ -177,7 +192,7 @@ int usage(const char *Argv0) {
       "  --policy=<p>           paper (default) | nodeexists | undemanded\n"
       "  --frozen               accepted for compatibility; no effect (every\n"
       "                         closed graph is frozen into CSR form)\n"
-      "  --threads=<n>          query-engine worker lanes\n"
+      "  --threads=<n>          query-engine worker lanes (at most 256)\n"
       "  --kernel-threshold=<n> batch size above which batched queries use\n"
       "                         the word-parallel label-set kernel\n"
       "                         (0 disables the kernel; default 16)\n"
@@ -236,29 +251,523 @@ bool startsWith(const std::string &S, const char *Prefix) {
   return S.rfind(Prefix, 0) == 0;
 }
 
+/// True when \p A is `<Prefix><value>`; the value lands in \p Value.
+bool flagValue(const std::string &A, const char *Prefix, std::string &Value) {
+  if (!startsWith(A, Prefix))
+    return false;
+  Value = A.substr(std::strlen(Prefix));
+  return true;
+}
+
+/// Parses all of \p Text as a decimal number no larger than \p Max: no
+/// sign, no spaces, no overflow.
+bool parseUnsigned(const std::string &Text, uint64_t Max, uint64_t &Out) {
+  const char *End = Text.data() + Text.size();
+  uint64_t V = 0;
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, V);
+  if (Text.empty() || Ec != std::errc() || Ptr != End || V > Max)
+    return false;
+  Out = V;
+  return true;
+}
+
+/// The one checked parser behind every numeric flag value: on a
+/// malformed or out-of-range \p Text it says
+/// `error: --<Flag> expects a number[ <= Max], got '<Text>'`.
+bool numberFlag(const char *Flag, const std::string &Text, uint64_t Max,
+                uint64_t &Out) {
+  if (parseUnsigned(Text, Max, Out))
+    return true;
+  std::string Bound =
+      Max == UINT64_MAX ? "" : " <= " + std::to_string(Max);
+  std::fprintf(stderr, "error: --%s expects a number%s, got '%s'\n", Flag,
+               Bound.c_str(), Text.c_str());
+  return false;
+}
+
+/// Step 1: reads argv into \p Opts.  Checks each value's own syntax
+/// (numbers, non-empty paths) and returns an exit code, or `Continue`.
+int parseFlags(int Argc, char **Argv, Options &Opts) {
+  using O = Options;
+  // `--frozen` is kept for existing scripts and has no effect.
+  static const std::pair<const char *, bool O::*> Switches[] = {
+      {"--lint", &O::Lint},     {"--dce", &O::Dce},
+      {"--serve", &O::Serve},   {"--snapshot-cache", &O::SnapshotCache},
+      {"--stats", &O::Stats},   {"--run", &O::Run},
+      {"--print", &O::Print},   {"--dump-graph", &O::DumpGraph},
+      {"--frozen", nullptr}};
+  // `<prefix><text>`: the field, the marker recording that the flag was
+  // given, and the error for an empty value where one is required.
+  static const struct {
+    const char *Prefix;
+    std::string O::*Field;
+    bool O::*Given;
+    const char *IfEmpty;
+  } Texts[] = {
+      {"--corpus=", &O::Corpus, nullptr, nullptr},
+      {"--analysis=", &O::Analysis, &O::AnalysisGiven, nullptr},
+      {"--query=", &O::Query, &O::QueryGiven, nullptr},
+      {"--lint-format=", &O::LintFormat, &O::LintFormatGiven, nullptr},
+      {"--slice=", &O::Slice, nullptr,
+       "--slice expects expr@<line>:<col>[,back|fwd]"},
+      {"--export-deps=", &O::ExportDeps, nullptr, nullptr},
+      {"--congruence=", &O::Congruence, &O::CongruenceGiven, nullptr},
+      {"--policy=", &O::Policy, &O::PolicyGiven, nullptr},
+      {"--save-snapshot=", &O::SaveSnapshot, nullptr,
+       "--save-snapshot expects a file path"},
+      {"--load-snapshot=", &O::LoadSnapshot, nullptr,
+       "--load-snapshot expects a file path"},
+      {"--snapshot-cache=", &O::SnapshotDir, &O::SnapshotCache,
+       "--snapshot-cache= expects a directory; plain --snapshot-cache "
+       "uses the default cache"},
+      {"--gen-shape=", &O::GenShape, nullptr,
+       "--gen-shape expects wide|deep|diamond|skewed:N[:seed]"},
+      {"--degrade=", &O::Degrade, nullptr, nullptr},
+      {"--trace-json=", &O::TraceJson, nullptr,
+       "--trace-json expects a file path"},
+      {"--metrics-json=", &O::MetricsJson, nullptr,
+       "--metrics-json expects a file path"}};
+  // `--<name>=<n>`: every number goes through the one checked parser,
+  // bounded by what its consumer can hold.
+  using SetFn = void (*)(Options &, uint64_t);
+  static const struct {
+    const char *Name;
+    uint64_t Max;
+    bool Positive;
+    SetFn Set;
+  } Numbers[] = {
+      {"threads", MaxThreads, false,
+       [](O &Op, uint64_t N) { Op.Threads = N ? unsigned(N) : 1; }},
+      {"kernel-threshold", INT64_MAX, false,
+       [](O &Op, uint64_t N) { Op.KernelThreshold = N; }},
+      {"kernel-chunk-rows", UINT32_MAX, false,
+       [](O &Op, uint64_t N) { Op.KernelChunkRows = uint32_t(N); }},
+      {"timeout-ms", MaxTimeoutMs, false,
+       [](O &Op, uint64_t N) { Op.TimeoutMs = int64_t(N); }},
+      {"close-budget", UINT64_MAX, true,
+       [](O &Op, uint64_t N) { Op.CloseBudget = N; }},
+      {"snapshot-cache-max-mb", UINT64_MAX >> 20, false,
+       [](O &Op, uint64_t N) { Op.SnapshotCacheMaxMb = N; }},
+      {"serve-max-cost", UINT64_MAX, true,
+       [](O &Op, uint64_t N) { Op.ServeMaxCost = N; }},
+      {"serve-max-request-mb", UINT64_MAX >> 20, true,
+       [](O &Op, uint64_t N) { Op.ServeMaxRequestMb = N; }}};
+
+  for (int I = 1; I != Argc; ++I) {
+    const std::string A = Argv[I];
+    std::string V;
+    auto flag = [&]() -> int {
+      for (const auto &[Name, Field] : Switches)
+        if (A == Name) {
+          if (Field)
+            Opts.*Field = true;
+          return Continue;
+        }
+      for (const auto &T : Texts)
+        if (flagValue(A, T.Prefix, V)) {
+          if (T.IfEmpty && V.empty()) {
+            std::fprintf(stderr, "error: %s\n", T.IfEmpty);
+            return 2;
+          }
+          Opts.*T.Field = V;
+          if (T.Given)
+            Opts.*T.Given = true;
+          return Continue;
+        }
+      for (const auto &Num : Numbers)
+        if (flagValue(A, ("--" + std::string(Num.Name) + "=").c_str(), V)) {
+          uint64_t N = 0;
+          if (!numberFlag(Num.Name, V, Num.Max, N))
+            return 2;
+          if (Num.Positive && N == 0) {
+            std::fprintf(stderr, "error: --%s must be positive\n", Num.Name);
+            return 2;
+          }
+          Num.Set(Opts, N);
+          return Continue;
+        }
+      if (flagValue(A, "--lint=", V)) {
+        Opts.Lint = true;
+        for (size_t Pos = 0; Pos <= V.size();) {
+          size_t Comma = V.find(',', Pos);
+          if (Comma == std::string::npos)
+            Comma = V.size();
+          if (Comma > Pos)
+            Opts.LintPasses.push_back(V.substr(Pos, Comma - Pos));
+          Pos = Comma + 1;
+        }
+        if (!Opts.LintPasses.empty())
+          return Continue;
+        std::fprintf(stderr, "error: --lint= expects a pass list; plain "
+                             "--lint runs every pass\n");
+        return 2;
+      }
+      if (A == "--help" || A == "-h" || startsWith(A, "--") ||
+          !Opts.InputFile.empty())
+        return usage(Argv[0]);
+      Opts.InputFile = A;
+      return Continue;
+    };
+    if (int Code = flag(); Code != Continue)
+      return Code;
+  }
+  return Continue;
+}
+
+/// The daemon owns the whole pipeline per 'load' request; every flag
+/// that names an input or picks a batch output mode conflicts.
+const char *serveConflict(const Options &Opts) {
+  if (!Opts.InputFile.empty() || !Opts.Corpus.empty())
+    return "an input argument (programs arrive via 'load' requests)";
+  if (Opts.QueryGiven)
+    return "--query (queries arrive as 'query' requests)";
+  if (Opts.Lint)
+    return "--lint (lint arrives as 'lint' requests)";
+  if (Opts.sliceMode())
+    return "--slice/--dce/--export-deps (slices arrive as 'slice' "
+           "requests)";
+  if (Opts.Run)
+    return "--run";
+  if (Opts.Print)
+    return "--print";
+  if (Opts.DumpGraph)
+    return "--dump-graph";
+  if (!Opts.SaveSnapshot.empty())
+    return "--save-snapshot (use --snapshot-cache for warm restarts)";
+  if (!Opts.LoadSnapshot.empty())
+    return "--load-snapshot (use --snapshot-cache for warm restarts)";
+  if (Opts.AnalysisGiven)
+    return "--analysis (the daemon always runs the hybrid ladder)";
+  if (Opts.CongruenceGiven || Opts.PolicyGiven)
+    return "--congruence/--policy (the daemon's snapshot keys pin "
+           "the default configuration)";
+  if (Opts.CloseBudget > 0)
+    return "--close-budget (use --serve-max-cost for admission)";
+  return nullptr;
+}
+
+bool graphAnalysis(const Options &Opts) {
+  return Opts.Analysis == "subtransitive" || Opts.Analysis == "poly";
+}
+
+/// Validates the governor, daemon and lint flags together.
+int validateGovernorAndLint(const Options &Opts) {
+  if (!Opts.Degrade.empty() && Opts.Analysis != "hybrid" && !Opts.Serve) {
+    std::fprintf(stderr,
+                 "error: --degrade only applies to --analysis=hybrid or "
+                 "--serve (got --analysis=%s)\n",
+                 Opts.Analysis.c_str());
+    return 2;
+  }
+  if (Opts.Serve)
+    if (const char *Conflict = serveConflict(Opts)) {
+      std::fprintf(stderr, "error: --serve conflicts with %s\n", Conflict);
+      return 2;
+    }
+  if (Opts.Degrade == "off" && Opts.TimeoutMs >= 0) {
+    std::fprintf(stderr,
+                 "error: --degrade=off conflicts with --timeout-ms: a "
+                 "deadline needs a degradation rung to fall to; drop one "
+                 "of the flags\n");
+    return 2;
+  }
+  if (Opts.CloseBudget > 0 && !graphAnalysis(Opts)) {
+    std::fprintf(stderr,
+                 "error: --close-budget applies to the subtransitive close "
+                 "(--analysis=subtransitive|poly); --analysis=%s has no "
+                 "close phase it could bound\n",
+                 Opts.Analysis.c_str());
+    return 2;
+  }
+  if (Opts.LintFormatGiven && !Opts.Lint) {
+    std::fprintf(stderr,
+                 "error: --lint-format has no effect without --lint\n");
+    return 2;
+  }
+  if (!Opts.Lint)
+    return Continue;
+  if (Opts.QueryGiven) {
+    std::fprintf(stderr, "error: --lint replaces the query path; drop "
+                         "--query or --lint\n");
+    return 2;
+  }
+  if (!graphAnalysis(Opts)) {
+    std::fprintf(stderr,
+                 "error: --lint consumes the frozen subtransitive graph "
+                 "(--analysis=subtransitive|poly); --analysis=%s builds "
+                 "none\n",
+                 Opts.Analysis.c_str());
+    return 2;
+  }
+  if (Opts.LintFormat != "text" && Opts.LintFormat != "json" &&
+      Opts.LintFormat != "sarif") {
+    std::fprintf(stderr,
+                 "error: --lint-format expects text|json|sarif, got '%s'\n",
+                 Opts.LintFormat.c_str());
+    return 2;
+  }
+  for (const std::string &Id : Opts.LintPasses)
+    if (!LintEngine::findPass(Id)) {
+      std::string Known;
+      for (const LintPassInfo &P : LintEngine::passes())
+        Known += (Known.empty() ? "" : ", ") + std::string(P.Id);
+      std::fprintf(stderr, "error: unknown lint pass '%s' (known: %s)\n",
+                   Id.c_str(), Known.c_str());
+      return 2;
+    }
+  return Continue;
+}
+
+/// Validates the slice-subsystem modes and parses `--slice`'s spec.
+int validateSliceModes(Options &Opts) {
+  if (!Opts.sliceMode())
+    return Continue;
+  // The three slice-subsystem modes each own stdout, so they are
+  // mutually exclusive, and they replace the query path like --lint.
+  int NumModes = (!Opts.Slice.empty() ? 1 : 0) + (Opts.Dce ? 1 : 0) +
+                 (!Opts.ExportDeps.empty() ? 1 : 0);
+  if (NumModes > 1) {
+    std::fprintf(stderr, "error: --slice, --dce and --export-deps are "
+                         "mutually exclusive; pick one per invocation\n");
+    return 2;
+  }
+  const char *Conflict = Opts.Lint         ? "--lint"
+                         : Opts.QueryGiven ? "--query"
+                         : Opts.Run ? "--run (interpret the original and "
+                                      "the residual in separate "
+                                      "invocations)"
+                         : Opts.Print     ? "--print"
+                         : Opts.DumpGraph ? "--dump-graph"
+                                          : nullptr;
+  if (Conflict) {
+    std::fprintf(stderr, "error: --slice/--dce/--export-deps conflicts "
+                         "with %s\n",
+                 Conflict);
+    return 2;
+  }
+  if (!graphAnalysis(Opts)) {
+    std::fprintf(stderr,
+                 "error: --slice/--dce/--export-deps consume the frozen "
+                 "subtransitive graph (--analysis=subtransitive|poly); "
+                 "--analysis=%s builds none\n",
+                 Opts.Analysis.c_str());
+    return 2;
+  }
+  if (!Opts.ExportDeps.empty() && Opts.ExportDeps != "dot" &&
+      Opts.ExportDeps != "json") {
+    std::fprintf(stderr, "error: --export-deps expects dot|json, got "
+                         "'%s'\n",
+                 Opts.ExportDeps.c_str());
+    return 2;
+  }
+  if (Opts.Slice.empty())
+    return Continue;
+  // `expr@<line>:<col>[,back|fwd]`
+  std::string Spec = Opts.Slice;
+  if (size_t Comma = Spec.find(','); Comma != std::string::npos) {
+    Opts.SliceDir = Spec.substr(Comma + 1);
+    Spec.resize(Comma);
+  }
+  uint64_t Line = 0, Col = 0;
+  size_t Colon = Spec.find(':');
+  bool SpecOk = startsWith(Spec, "expr@") && Colon != std::string::npos &&
+                parseUnsigned(Spec.substr(5, Colon - 5), UINT32_MAX, Line) &&
+                parseUnsigned(Spec.substr(Colon + 1), UINT32_MAX, Col);
+  if (!SpecOk || (Opts.SliceDir != "back" && Opts.SliceDir != "fwd")) {
+    std::fprintf(stderr,
+                 "error: --slice expects expr@<line>:<col>[,back|fwd], "
+                 "got '%s'\n",
+                 Opts.Slice.c_str());
+    return 2;
+  }
+  Opts.SliceLine = static_cast<uint32_t>(Line);
+  Opts.SliceCol = static_cast<uint32_t>(Col);
+  return Continue;
+}
+
+/// Validates the snapshot flags against each other and the modes.
+int validateSnapshotFlags(const Options &Opts) {
+  if (!Opts.LoadSnapshot.empty() || Opts.SnapshotCache) {
+    // A served snapshot has no Module and no live graph, so everything
+    // that rebuilds or walks one conflicts; a snapshot built under a
+    // different close budget or degradation ladder would silently answer
+    // for the wrong configuration, so those flags fail fast too.
+    const char *Mode =
+        !Opts.LoadSnapshot.empty() ? "--load-snapshot" : "--snapshot-cache";
+    const char *Conflict = nullptr;
+    if (Opts.CloseBudget > 0)
+      Conflict = "--close-budget";
+    else if (!Opts.Degrade.empty())
+      Conflict = "--degrade";
+    else if (Opts.Lint && Opts.LoadSnapshot.empty())
+      Conflict = "--lint"; // lint-over-snapshot works for --load-snapshot
+                           // only: it reparses the named input
+    else if (Opts.sliceMode() && Opts.LoadSnapshot.empty())
+      Conflict = "--slice/--dce/--export-deps"; // same reparse-the-input
+                                                // rule as --lint
+    else if (Opts.Run)
+      Conflict = "--run";
+    else if (Opts.Print)
+      Conflict = "--print";
+    else if (Opts.DumpGraph)
+      Conflict = "--dump-graph";
+    else if (Opts.AnalysisGiven && !graphAnalysis(Opts))
+      Conflict = "--analysis";
+    if (Conflict) {
+      std::fprintf(stderr,
+                   "error: %s conflicts with %s: the flag needs a rebuilt "
+                   "(or live) pipeline, but snapshots are served as-is; "
+                   "drop the flag or rebuild without the snapshot\n",
+                   Mode, Conflict);
+      return 2;
+    }
+    if (!Opts.Lint && !Opts.sliceMode() && Opts.Query != "labels" &&
+        Opts.Query != "all-labels") {
+      std::fprintf(stderr,
+                   "error: %s serves label-set queries only "
+                   "(--query=labels|all-labels), got --query=%s\n",
+                   Mode, Opts.Query.c_str());
+      return 2;
+    }
+  }
+  if (!Opts.LoadSnapshot.empty() && (Opts.Lint || Opts.sliceMode()) &&
+      !Opts.namedInput()) {
+    std::fprintf(stderr,
+                 "error: --load-snapshot %s needs the source named too "
+                 "(a file or --corpus): the pass walks the AST, "
+                 "which the snapshot does not persist\n",
+                 Opts.Lint ? "--lint" : "--slice/--dce/--export-deps");
+    return 2;
+  }
+  if (!Opts.LoadSnapshot.empty()) {
+    if (!Opts.SaveSnapshot.empty() || Opts.SnapshotCache) {
+      std::fprintf(stderr,
+                   "error: --load-snapshot conflicts with %s: loading "
+                   "skips the pipeline that would produce the snapshot\n",
+                   !Opts.SaveSnapshot.empty() ? "--save-snapshot"
+                                              : "--snapshot-cache");
+      return 2;
+    }
+    if (Opts.CongruenceGiven || Opts.PolicyGiven) {
+      std::fprintf(stderr,
+                   "error: --load-snapshot ignores %s: the snapshot was "
+                   "built under its own configuration; rebuild with "
+                   "--save-snapshot to change it\n",
+                   Opts.CongruenceGiven ? "--congruence" : "--policy");
+      return 2;
+    }
+  }
+  if (!Opts.SaveSnapshot.empty() && Opts.SnapshotCache) {
+    std::fprintf(stderr, "error: --save-snapshot conflicts with "
+                         "--snapshot-cache: pick one destination\n");
+    return 2;
+  }
+  if (!Opts.SaveSnapshot.empty() && !graphAnalysis(Opts)) {
+    std::fprintf(stderr,
+                 "error: --save-snapshot persists the frozen subtransitive "
+                 "graph (--analysis=subtransitive|poly); --analysis=%s "
+                 "builds none\n",
+                 Opts.Analysis.c_str());
+    return 2;
+  }
+  return Continue;
+}
+
+/// The `--corpus` families that take a size or seed, with its bound.
+constexpr std::pair<const char *, uint64_t> SizedCorpora[] = {
+    {"lexgen:", INT32_MAX},
+    {"cubic:", INT32_MAX},
+    {"joinpoint:", INT32_MAX},
+    {"random:", UINT64_MAX}};
+
+/// Resolves every enumerated value into \p PO (and `--query=klimited:K`
+/// into `Opts.KLimit`); an unknown value prints the usage text.
+int resolvePipelineOptions(Options &Opts, PipelineOptions &PO,
+                           const char *Argv0) {
+  if (!parseAnalysisKind(Opts.Analysis, PO.Analysis) ||
+      !parseCongruence(Opts.Congruence, PO.Graph.Congruence) ||
+      !parsePolicy(Opts.Policy, PO.Graph.Policy))
+    return usage(Argv0);
+  static const char *const Queries[] = {"labels",      "all-labels",
+                                        "effects",     "called-once",
+                                        "callgraph",   "dead-code"};
+  bool KnownQuery = false;
+  for (const char *Q : Queries)
+    KnownQuery |= Opts.Query == Q;
+  if (std::string K; flagValue(Opts.Query, "klimited:", K)) {
+    uint64_t N = 0;
+    if (!parseUnsigned(K, UINT32_MAX, N)) {
+      std::fprintf(stderr,
+                   "error: --query expects klimited:<K> with K a number "
+                   "<= %u, got '%s'\n",
+                   UINT32_MAX, Opts.Query.c_str());
+      return 2;
+    }
+    Opts.KLimit = static_cast<uint32_t>(N);
+    KnownQuery = true;
+  }
+  if (!KnownQuery)
+    return usage(Argv0);
+  PO.Graph.MaxNodes = Opts.CloseBudget;
+  PO.Threads = Opts.Threads;
+  PO.KernelThreshold = Opts.KernelThreshold;
+  PO.KernelChunkRows = Opts.KernelChunkRows;
+  for (auto [Family, Max] : SizedCorpora)
+    if (std::string Arg; flagValue(Opts.Corpus, Family, Arg))
+      if (uint64_t N = 0; !numberFlag("corpus", Arg, Max, N))
+        return 2;
+  return Continue;
+}
+
+/// Step 2: every flag value and combination is checked here, before any
+/// input is read, so a usage error leaves no output and no file behind.
+int validate(Options &Opts, PipelineOptions &PO, const char *Argv0) {
+  // Degrade values are checked first: a misspelt rung must not be
+  // reported as a scope conflict.
+  if (!Opts.Degrade.empty() && !parseDegradeMode(Opts.Degrade, PO.Degrade)) {
+    std::fprintf(stderr,
+                 "error: --degrade expects off|standard|partial, got '%s'\n",
+                 Opts.Degrade.c_str());
+    return 2;
+  }
+  if (int Code = validateGovernorAndLint(Opts); Code != Continue)
+    return Code;
+  if (int Code = validateSliceModes(Opts); Code != Continue)
+    return Code;
+  if (int Code = validateSnapshotFlags(Opts); Code != Continue)
+    return Code;
+  return resolvePipelineOptions(Opts, PO, Argv0);
+}
+
+/// Reads the program text: a generated corpus, the named file, or stdin.
 std::string loadInput(const Options &Opts, bool &Ok) {
   Ok = true;
-  if (!Opts.Corpus.empty()) {
-    if (Opts.Corpus == "life")
+  if (const std::string &C = Opts.Corpus; !C.empty()) {
+    std::string Arg;
+    uint64_t N = 0; // validation already bounded the number
+    auto sized = [&](const char *Family) {
+      return flagValue(C, Family, Arg) && parseUnsigned(Arg, UINT64_MAX, N);
+    };
+    if (C == "life")
       return lifeProgram();
-    if (Opts.Corpus == "lexgen")
+    if (C == "lexgen")
       return makeLexgenLike();
-    if (startsWith(Opts.Corpus, "lexgen:"))
-      return makeLexgenLike(std::stoi(Opts.Corpus.substr(7)));
-    if (startsWith(Opts.Corpus, "cubic:"))
-      return makeCubicFamily(std::stoi(Opts.Corpus.substr(6)));
-    if (startsWith(Opts.Corpus, "joinpoint:"))
-      return makeJoinPointFamily(std::stoi(Opts.Corpus.substr(10)));
-    if (startsWith(Opts.Corpus, "random:")) {
+    if (sized("lexgen:"))
+      return makeLexgenLike(static_cast<int>(N));
+    if (sized("cubic:"))
+      return makeCubicFamily(static_cast<int>(N));
+    if (sized("joinpoint:"))
+      return makeJoinPointFamily(static_cast<int>(N));
+    if (sized("random:")) {
       RandomProgramOptions R;
-      R.Seed = std::stoull(Opts.Corpus.substr(7));
+      R.Seed = N;
       R.UseRefs = true;
       R.UseEffects = true;
       return makeRandomProgram(R);
     }
-    if (ShapeSpec Spec; parseShapeSpec(Opts.Corpus, Spec))
+    if (ShapeSpec Spec; parseShapeSpec(C, Spec))
       return makeShapeProgram(Spec);
-    std::fprintf(stderr, "error: unknown corpus '%s'\n", Opts.Corpus.c_str());
+    std::fprintf(stderr, "error: unknown corpus '%s'\n", C.c_str());
     Ok = false;
     return "";
   }
@@ -306,16 +815,33 @@ void printAllLabels(std::vector<std::string> LabelNames, uint32_t NumExprs,
   RenderSpan.arg("bytes", W.bytes());
 }
 
-/// `--query=all-labels` over \p Engine as one batched call, so the sweep
-/// rides the label-set kernel above the dispatch threshold.  Under
-/// `--timeout-ms` the batch is governed: the engine polls \p D between
-/// shards and returns whatever completed, flagged per item.  Returns 3
-/// when a governed batch stopped early, else 0.
+/// `--query=labels|all-labels` over \p P, live or snapshot-backed alike:
+/// the root's set, or one line per occurrence.  With an engine the
+/// all-labels sweep is one batched call, so it rides the label-set kernel
+/// above the dispatch threshold; under `--timeout-ms` the batch is
+/// governed (the engine polls \p D between shards and returns whatever
+/// completed).  Returns 3 when a governed batch stopped early, else 0.
 template <class ExprNameFn>
-int printEngineAllLabels(const Options &Opts, QueryEngine &Engine,
-                         uint32_t NumExprs, const Deadline &D,
-                         ExprNameFn &&ExprName,
-                         std::vector<std::string> LabelNames) {
+int printLabelSets(const Options &Opts, Pipeline &P,
+                   std::vector<std::string> LabelNames, ExprId Root,
+                   uint32_t NumExprs, const Deadline &D,
+                   ExprNameFn &&ExprName) {
+  if (Opts.Query == "labels") {
+    LabelSetWriter(stdout, std::move(LabelNames)).rootLine(P.labelsOf(Root));
+    return 0;
+  }
+  QueryEngine *Engine = P.engine();
+  if (!Engine) { // graph-free analyses answer one occurrence at a time
+    DenseBitset Set;
+    printAllLabels(
+        std::move(LabelNames), NumExprs,
+        [&](uint32_t I) {
+          Set = P.labelsOf(ExprId(I));
+          return &Set;
+        },
+        ExprName);
+    return 0;
+  }
   std::vector<ExprId> Es;
   Es.reserve(NumExprs);
   for (uint32_t I = 0; I != NumExprs; ++I)
@@ -325,9 +851,9 @@ int printEngineAllLabels(const Options &Opts, QueryEngine &Engine,
   if (Opts.TimeoutMs >= 0) {
     BatchControl BC;
     BC.D = D;
-    Sets = Engine.labelsOfBatch(Es, BC, Outcome);
+    Sets = Engine->labelsOfBatch(Es, BC, Outcome);
   } else {
-    Sets = Engine.labelsOfBatch(Es);
+    Sets = Engine->labelsOfBatch(Es);
     Outcome.Done.assign(Es.size(), true);
   }
   printAllLabels(
@@ -342,123 +868,37 @@ int printEngineAllLabels(const Options &Opts, QueryEngine &Engine,
   return 3;
 }
 
-/// Uniform label-set access across the analyses.
-struct AnalysisResult {
-  std::unique_ptr<StandardCFA> Std;
-  std::unique_ptr<UnificationCFA> Uni;
-  std::unique_ptr<SubtransitiveGraph> Graph;
-  std::unique_ptr<PolyvariantCFA> Poly;
-  std::unique_ptr<HybridCFA> Hybrid;
-  std::unique_ptr<FrozenGraph> Snapshot;
-  std::unique_ptr<QueryEngine> Engine;
-  double AnalysisMs = 0;
-
-  DenseBitset labels(ExprId E) {
-    if (Std)
-      return Std->labelSet(E);
-    if (Uni)
-      return Uni->labelSet(E);
-    if (Hybrid)
-      return Hybrid->labelSet(E);
-    return Engine->labelsOf(E);
+/// The one place a pipeline's outcome becomes the tool's exit code.  A
+/// failure is explained on stderr and exits 1 (the source does not parse
+/// or does not match the snapshot), 6 (a budget ran out and no
+/// degradation was permitted) or 3 (deadline or cancellation).  A served
+/// pipeline exits 0, or under a governor flag 4/5 when the hybrid ladder
+/// fell to the standard or partial rung.
+int pipelineExitCode(const Options &Opts, const Pipeline &P) {
+  const Status &S = P.status();
+  if (S.isOk()) {
+    const HybridCFA *H = P.hybrid();
+    if (!H || !Opts.governed())
+      return 0;
+    return H->engine() == HybridCFA::Engine::Standard        ? 4
+           : H->engine() == HybridCFA::Engine::PartialAnswer ? 5
+                                                             : 0;
   }
-  const SubtransitiveGraph *graph() const {
-    if (Graph)
-      return Graph.get();
-    if (Poly)
-      return &Poly->graph();
-    if (Hybrid)
-      return Hybrid->graph();
-    return nullptr;
+  if (S == StatusCode::InvalidArgument) {
+    std::fprintf(stderr, "%s\n", S.message().c_str()); // parse diagnostics
+    return 1;
   }
-  /// The frozen snapshot / query engine of a graph analysis; null for
-  /// the graph-free analyses (standard, unify, a degraded hybrid).
-  const FrozenGraph *frozen() const {
-    if (Snapshot)
-      return Snapshot.get();
-    if (Hybrid)
-      return Hybrid->frozen();
-    return nullptr;
+  if (S == StatusCode::FailedPrecondition) {
+    std::fprintf(stderr, "error: snapshot '%s' %s\n",
+                 Opts.LoadSnapshot.c_str(), S.message().c_str());
+    return 1;
   }
-  QueryEngine *engine() {
-    if (Engine)
-      return Engine.get();
-    if (Hybrid)
-      return Hybrid->queryEngine();
-    return nullptr;
-  }
-};
-
-/// The canonical configuration string hashed into the snapshot cache key:
-/// every option that shapes the frozen tables, nothing that doesn't.
-std::string snapshotConfigString(const Options &O) {
-  return "analysis=" + O.Analysis + ";congruence=" + O.Congruence +
-         ";policy=" + O.Policy;
-}
-
-/// Serves `--query=labels|all-labels` straight from a loaded snapshot:
-/// zero-copy query engine over the mapping, persisted kernel rows adopted
-/// as the batch backend, output byte-identical to the in-memory path.
-int serveFromSnapshot(const Options &Opts, const LoadedSnapshot &Snap) {
-  const FrozenGraph &F = Snap.frozen();
-  QueryEngine Engine(F, Opts.Threads);
-  if (Opts.KernelThreshold >= 0)
-    Engine.setKernelThreshold(static_cast<size_t>(Opts.KernelThreshold));
-  if (Opts.KernelChunkRows >= 0)
-    Engine.setKernelChunkRows(static_cast<uint32_t>(Opts.KernelChunkRows));
-  bool KernelAdopted = false;
-  if (auto Kern = Snap.adoptKernel()) {
-    Engine.adoptKernel(std::move(Kern));
-    KernelAdopted = true;
-  }
-  if (Opts.Stats)
-    std::printf("snapshot: %u nodes / %llu edges served zero-copy, %u "
-                "query lane(s), kernel rows %s\n",
-                F.numNodes(), (unsigned long long)F.numEdges(),
-                Engine.threads(), KernelAdopted ? "adopted" : "absent");
-
-  std::vector<std::string> LabelNames;
-  LabelNames.reserve(F.numLabels());
-  for (uint32_t L = 0; L != F.numLabels(); ++L)
-    LabelNames.emplace_back(Snap.labelName(L));
-  int ExitCode = 0;
-  Timer QueryTimer;
-  if (Opts.Query == "labels")
-    LabelSetWriter(stdout, std::move(LabelNames))
-        .rootLine(Engine.labelsOf(Snap.rootExpr()));
-  else // all-labels (the flag validation admits nothing else)
-    ExitCode = printEngineAllLabels(
-        Opts, Engine, F.numExprs(), deadlineOf(Opts),
-        [&](uint32_t I) { return Snap.exprName(I); }, std::move(LabelNames));
-  if (Opts.Stats)
-    std::printf("queries: %.3f ms\n", QueryTimer.millis());
-  return ExitCode;
-}
-
-/// `--load-snapshot` with `--lint` or a slice mode: the frozen tables
-/// come from the mapping, the AST from reparsing the named input (already
-/// hash-verified against the snapshot header, so the two line up).  Null,
-/// after saying why, when the input does not parse or does not match.
-std::unique_ptr<Module> reparseForSnapshot(const Options &Opts,
-                                           const LoadedSnapshot &Snap,
-                                           const std::string &Source) {
-  DiagnosticEngine Diags;
-  std::unique_ptr<Module> M = parseProgram(Source, Diags);
-  if (!M) {
-    std::fprintf(stderr, "%s", Diags.render().c_str());
-    return nullptr;
-  }
-  DiagnosticEngine InferDiags;
-  (void)inferTypes(*M, InferDiags);
-  if (M->numExprs() != Snap.frozen().numExprs()) {
-    std::fprintf(stderr,
-                 "error: snapshot '%s' does not match the given input "
-                 "(%u vs %u occurrences)\n",
-                 Opts.LoadSnapshot.c_str(), Snap.frozen().numExprs(),
-                 M->numExprs());
-    return nullptr;
-  }
-  return M;
+  const char *What = Opts.Analysis == "standard" ? "standard analysis aborted"
+                     : Opts.Analysis == "hybrid"
+                         ? "hybrid analysis served no answer"
+                         : "close aborted";
+  std::fprintf(stderr, "error: %s: %s\n", What, S.toString().c_str());
+  return S == StatusCode::ResourceExhausted ? 6 : 3;
 }
 
 /// `--lint`: runs the checker passes over \p F and renders the findings.
@@ -620,227 +1060,382 @@ int runSliceModes(const Options &Opts, const Module &M, const FrozenGraph &F,
   return ExitCode;
 }
 
-/// Builds the complete label-set kernel for \p F and persists graph +
-/// kernel to \p Path.  Shared by `--save-snapshot` and the cache-miss
-/// fill; \p Key lands in the header for loader-side verification.
-Status persistSnapshot(const std::string &Path, const FrozenGraph &F,
-                       const Module &M, uint64_t Key, unsigned Threads) {
-  SnapshotWriteOptions WO;
-  WO.ContentHash = Key;
-  std::unique_ptr<LabelSetKernel> Kern;
-  if (M.numLabels() != 0) {
-    Kern = std::make_unique<LabelSetKernel>(F, Threads);
-    if (Kern->run().isOk())
-      WO.Kernel = Kern.get();
-    else
-      Kern.reset(); // persist the graph alone; loads just skip adoption
+/// The `--query` modes over a live pipeline, then `--run` interprets the
+/// program.  Returns \p ExitCode, 3 when a governed all-labels batch
+/// stopped early, or 1 when a graph-consuming query met a graph-free
+/// analysis.
+int runQueryMode(const Options &Opts, Pipeline &P, const Deadline &D,
+                 int ExitCode) {
+  const Module &M = *P.module();
+  auto LabelName = [&](uint32_t L) { return describeLabel(M, LabelId(L)); };
+  auto ExprName = [&](uint32_t I) { return describeExpr(M, ExprId(I)); };
+  // The graph-consuming queries read the frozen graph, which the
+  // graph-free analyses (standard, unify, a degraded hybrid) never build.
+  const FrozenGraph *F = P.frozen();
+  auto needsGraph = [&](const char *Query) {
+    if (!F)
+      std::fprintf(stderr, "error: %s needs a graph analysis\n", Query);
+    return !F;
+  };
+  Timer QueryTimer;
+  if (Opts.Query == "labels" || Opts.Query == "all-labels") {
+    if (int Code = printLabelSets(Opts, P, labelNames(M), M.root(),
+                                  M.numExprs(), D, ExprName))
+      ExitCode = Code;
+  } else if (Opts.Query == "effects") {
+    if (needsGraph("effects"))
+      return 1;
+    EffectsAnalysis Eff(M, *F);
+    Eff.run();
+    std::printf("%u side-effecting occurrences\n", Eff.numEffectful());
+    for (uint32_t I = 0; I != M.numExprs(); ++I)
+      if (Eff.isEffectful(ExprId(I)))
+        std::printf("  %s\n", ExprName(I).c_str());
+  } else if (Opts.Query == "called-once") {
+    if (needsGraph("called-once"))
+      return 1;
+    CalledOnceAnalysis CO(M, *F);
+    CO.run();
+    for (LabelId L : CO.calledOnce())
+      std::printf("called once: %s at %s\n", describeLabel(M, L).c_str(),
+                  describeExpr(M, CO.uniqueCallSite(L)).c_str());
+  } else if (Opts.Query == "callgraph") {
+    if (needsGraph("callgraph"))
+      return 1;
+    CallGraph CG(M, *P.engine());
+    CG.run();
+    for (uint32_t Caller = 0; Caller != CG.numCallers(); ++Caller) {
+      if (CG.calleesOf(Caller).empty())
+        continue;
+      std::string Name =
+          Caller == CG.rootIndex() ? "<top-level>" : LabelName(Caller);
+      std::printf("%s calls:", Name.c_str());
+      CG.calleesOf(Caller).forEach([&](uint32_t L) {
+        std::printf(" %s", LabelName(L).c_str());
+      });
+      std::printf("\n");
+    }
+    for (LabelId Dead : CG.deadFunctions())
+      std::printf("dead: %s\n", describeLabel(M, Dead).c_str());
+  } else if (Opts.Query == "dead-code") {
+    DeadCodeAwareCFA Dc(M);
+    Dc.run();
+    uint32_t DeadExprs = 0;
+    for (uint32_t I = 0; I != M.numExprs(); ++I)
+      DeadExprs += !Dc.isLive(ExprId(I));
+    std::printf("%u of %u occurrences are dead code\n", DeadExprs,
+                M.numExprs());
+    for (LabelId Dead : Dc.deadFunctions())
+      std::printf("never called: %s\n", describeLabel(M, Dead).c_str());
+    // Cross-check against the frozen engine when available: a function the
+    // (over-approximating) subtransitive flow never calls must also be dead
+    // under the liveness-gated analysis.
+    if (QueryEngine *E = P.engine()) {
+      CallGraph CG(M, *E);
+      CG.run();
+      uint32_t Agree = 0, Mismatch = 0;
+      for (LabelId L : CG.deadFunctions()) {
+        bool Dead = false;
+        for (LabelId DL : Dc.deadFunctions())
+          Dead |= DL == L;
+        (Dead ? Agree : Mismatch) += 1;
+      }
+      if (Mismatch)
+        std::printf("engine cross-check: %u never-called function(s) NOT "
+                    "dead-code-aware dead (unexpected)\n",
+                    Mismatch);
+      else
+        std::printf("engine cross-check: %u never-called function(s) "
+                    "confirmed dead\n",
+                    Agree);
+    }
+  } else { // klimited:K (validation admits nothing else)
+    if (needsGraph("klimited"))
+      return 1;
+    KLimitedCFA KL(M, *F, Opts.KLimit);
+    KL.run();
+    for (uint32_t I = 0; I != M.numExprs(); ++I) {
+      if (!isa<AppExpr>(M.expr(ExprId(I))))
+        continue;
+      const LimitedSet &S = KL.ofCallSite(ExprId(I));
+      std::string Callees;
+      if (S.isMany()) {
+        Callees = "many";
+      } else {
+        for (uint32_t L : S.ids()) {
+          if (!Callees.empty())
+            Callees += ", ";
+          Callees += LabelName(L);
+        }
+        if (Callees.empty())
+          Callees = "none";
+      }
+      std::printf("%-18s calls: %s\n", ExprName(I).c_str(), Callees.c_str());
+    }
   }
-  return writeSnapshot(Path, F, M, WO);
+  if (Opts.Stats)
+    std::printf("queries: %.3f ms\n", QueryTimer.millis());
+  if (!Opts.Run)
+    return ExitCode;
+  InterpreterResult Run = interpret(M, 50000000);
+  for (const std::string &Line : Run.Output)
+    std::printf("output: %s\n", Line.c_str());
+  if (Run.Completed)
+    std::printf("result: %s (in %llu steps)\n", Run.FinalValue.c_str(),
+                (unsigned long long)Run.Steps);
+  else
+    std::printf("aborted: %s\n", Run.Abort.c_str());
+  return ExitCode;
+}
+
+/// `--print` and the program/type lines of `--stats`, written as soon as
+/// the module exists (before the analysis outcome is known).
+void printModule(const Options &Opts, const Pipeline &P) {
+  const Module &M = *P.module();
+  if (!P.typed())
+    std::fprintf(stderr, "note: type inference failed (%s); "
+                         "continuing untyped — termination is not "
+                         "guaranteed by the paper, widening applies\n",
+                 P.inferFailure().c_str());
+  if (Opts.Print)
+    std::printf("%s", printProgram(M).c_str());
+  if (!Opts.Stats)
+    return;
+  std::printf("program: %u exprs, %u binders, %u abstractions, %u "
+              "constructors\n",
+              M.numExprs(), M.numVars(), M.numLabels(), M.numCons());
+  if (P.typed()) {
+    TypeMetrics TM = computeTypeMetrics(M);
+    std::printf("types: max size %u, avg size %.2f (k_avg), max order "
+                "%u, max arity %u\n",
+                TM.MaxTypeSize, TM.AvgTypeSize, TM.MaxOrder, TM.MaxArity);
+  }
+  if (const HybridCFA *H = P.hybrid()) {
+    std::printf("hybrid engine: %s\n", engineName(H->engine()));
+    std::printf("degradation report: %s\n", H->report().toJson().c_str());
+  }
+}
+
+/// The analysis/graph/freeze lines of `--stats`.
+void printAnalysisStats(const Options &Opts, Pipeline &P) {
+  std::printf("analysis: %s in %.3f ms\n", Opts.Analysis.c_str(),
+              P.analysisMillis());
+  if (const SubtransitiveGraph *G = P.graph()) {
+    const GraphStats &S = G->stats();
+    std::printf("graph: build %llu nodes / %llu edges, close +%llu nodes "
+                "/ +%llu edges, %llu rule firings, %llu widenings\n",
+                (unsigned long long)S.BuildNodes,
+                (unsigned long long)S.BuildEdges,
+                (unsigned long long)S.CloseNodes,
+                (unsigned long long)S.CloseEdges,
+                (unsigned long long)S.CloseRuleFirings,
+                (unsigned long long)S.Widenings);
+  }
+  if (const FrozenGraph *F = P.frozen())
+    std::printf("frozen: %u nodes / %llu edges compacted in %.3f ms, "
+                "%u query lane(s)\n",
+                F->numNodes(), (unsigned long long)F->numEdges(),
+                F->freezeMillis(), P.engine()->threads());
+  if (const StandardCFA *Std = P.standard())
+    std::printf("standard: %llu propagations, %llu insertions, %llu "
+                "edges\n",
+                (unsigned long long)Std->stats().Propagations,
+                (unsigned long long)Std->stats().SetInsertions,
+                (unsigned long long)Std->stats().Edges);
+  if (const UnificationCFA *Uni = P.unify())
+    std::printf("unify: %llu unions, %u classes\n",
+                (unsigned long long)Uni->unions(), Uni->numClasses());
+}
+
+/// `--save-snapshot` / the `--snapshot-cache` miss fill: persists the
+/// fresh frozen graph and its complete kernel matrix for later warm
+/// loads.  Returns 0, or 1 after saying why.
+int saveSnapshot(const Options &Opts, const PipelineOptions &PO,
+                    const Pipeline &P, const std::string &Source) {
+  const FrozenGraph *F = P.frozen();
+  if (!F || !F->status().isOk()) {
+    std::fprintf(stderr, "error: cannot persist a snapshot: no frozen "
+                         "graph (close incomplete or analysis "
+                         "graph-free)\n");
+    return 1;
+  }
+  const uint64_t Key = snapshotCacheKey(Source, snapshotConfig(PO));
+  const std::string CacheDir = snapshotCacheDir(Opts.SnapshotDir);
+  const std::string Dest = Opts.SnapshotCache
+                               ? snapshotCachePath(CacheDir, Key)
+                               : Opts.SaveSnapshot;
+  size_t Evicted = 0;
+  Status WS =
+      Opts.SnapshotCache
+          ? fillSnapshotCache(CacheDir, Key, *F, *P.module(), Opts.Threads,
+                              Opts.SnapshotCacheMaxMb << 20, &Evicted)
+          : writeSnapshotWithKernel(Dest, *F, *P.module(), Key, Opts.Threads);
+  if (!WS.isOk()) {
+    std::fprintf(stderr, "error: %s\n", WS.toString().c_str());
+    return 1;
+  }
+  if (Evicted != 0 && Opts.Stats)
+    std::printf("snapshot cache: evicted %zu entr%s (cap %llu MiB)\n",
+                Evicted, Evicted == 1 ? "y" : "ies",
+                (unsigned long long)Opts.SnapshotCacheMaxMb);
+  if (Opts.Stats)
+    std::printf("snapshot: wrote %s\n", Dest.c_str());
+  return 0;
+}
+
+/// `--query=labels|all-labels` over a parse-free snapshot pipeline:
+/// output byte-identical to the in-memory path, names from the mapping.
+int runSnapshotQuery(const Options &Opts, Pipeline &P, const Deadline &D) {
+  const LoadedSnapshot &Snap = *P.snapshot();
+  const FrozenGraph &F = *P.frozen();
+  QueryEngine &Engine = *P.engine();
+  if (Opts.Stats)
+    std::printf("snapshot: %u nodes / %llu edges served zero-copy, %u "
+                "query lane(s), kernel rows %s\n",
+                F.numNodes(), (unsigned long long)F.numEdges(),
+                Engine.threads(), Engine.kernel() ? "adopted" : "absent");
+
+  std::vector<std::string> LabelNames;
+  LabelNames.reserve(F.numLabels());
+  for (uint32_t L = 0; L != F.numLabels(); ++L)
+    LabelNames.emplace_back(Snap.labelName(L));
+  Timer QueryTimer;
+  int ExitCode = printLabelSets(
+      Opts, P, std::move(LabelNames), Snap.rootExpr(), F.numExprs(), D,
+      [&](uint32_t I) { return Snap.exprName(I); });
+  if (Opts.Stats)
+    std::printf("queries: %.3f ms\n", QueryTimer.millis());
+  return ExitCode;
+}
+
+/// `--serve`: hands stdin/stdout to the daemon, which builds its own
+/// pipeline per 'load' request.
+int runServe(const Options &Opts, const PipelineOptions &PO) {
+  serve::ServeOptions SO;
+  SO.Threads = Opts.Threads;
+  SO.KernelThreshold = static_cast<int64_t>(Opts.KernelThreshold);
+  SO.DefaultDeadlineMs = Opts.TimeoutMs;
+  SO.MaxInflightCost = Opts.ServeMaxCost;
+  SO.MaxRequestBytes = Opts.ServeMaxRequestMb << 20;
+  SO.SnapshotCache = Opts.SnapshotCache;
+  SO.SnapshotDir = Opts.SnapshotDir;
+  SO.SnapshotCacheMaxBytes = Opts.SnapshotCacheMaxMb << 20;
+  SO.Degrade = PO.Degrade;
+  SO.Stats = Opts.Stats;
+  serve::Server Daemon(0, 1, SO);
+  return Daemon.run();
+}
+
+/// `--load-snapshot`: the whole front half of the pipeline — read,
+/// parse, infer, build, close, freeze — is replaced by one mmap.
+int runFromSnapshot(const Options &Opts, PipelineOptions PO) {
+  Status LoadStatus = Status::ok();
+  std::unique_ptr<LoadedSnapshot> Snap =
+      LoadedSnapshot::load(Opts.LoadSnapshot, LoadStatus);
+  if (!Snap) {
+    std::fprintf(stderr, "error: %s\n", LoadStatus.toString().c_str());
+    return 1;
+  }
+  // When an input was named alongside the snapshot, verify the header's
+  // content hash against it — a stale snapshot must never silently
+  // answer for edited source.  (Stdin is not drained for this.)
+  std::string VerifiedSource;
+  if (Opts.namedInput()) {
+    bool Ok = true;
+    VerifiedSource = loadInput(Opts, Ok);
+    if (!Ok)
+      return 1;
+    uint64_t Key = snapshotCacheKey(VerifiedSource, snapshotConfig(PO));
+    if (Snap->contentHash() != 0 && Snap->contentHash() != Key) {
+      std::fprintf(stderr,
+                   "error: snapshot '%s' was built from different source "
+                   "or configuration than the given input; rebuild it "
+                   "with --save-snapshot\n",
+                   Opts.LoadSnapshot.c_str());
+      return 1;
+    }
+  }
+  PO.D = deadlineOf(Opts);
+  if (!Opts.Lint && !Opts.sliceMode()) {
+    Pipeline P(std::move(Snap), PO);
+    return runSnapshotQuery(Opts, P, PO.D);
+  }
+  // `--lint` and the slice modes over the mapping: flag validation
+  // guaranteed an input was named, so VerifiedSource holds the
+  // (hash-checked) program text the AST is reparsed from.
+  Pipeline P(std::move(Snap), PO, VerifiedSource);
+  if (!P.status().isOk())
+    return pipelineExitCode(Opts, P);
+  return Opts.Lint ? runLintMode(Opts, *P.module(), *P.frozen(), PO.D, 0)
+                   : runSliceModes(Opts, *P.module(), *P.frozen(), PO.D, 0);
+}
+
+/// The live pipeline over the input, preceded by the `--snapshot-cache`
+/// lookup: a hit serves straight from the mapped file (no parse); a miss
+/// runs the pipeline and fills the cache after the freeze.
+int runLive(const Options &Opts, PipelineOptions PO) {
+  bool Ok = true;
+  std::string Source = loadInput(Opts, Ok);
+  if (!Ok)
+    return 1;
+  // One absolute deadline covers the whole pipeline (analysis, freeze,
+  // queries): later stages see only whatever wall-clock remains.
+  PO.D = deadlineOf(Opts);
+  if (Opts.SnapshotCache) {
+    const std::string CacheDir = snapshotCacheDir(Opts.SnapshotDir);
+    const uint64_t Key = snapshotCacheKey(Source, snapshotConfig(PO));
+    const std::string CachePath = snapshotCachePath(CacheDir, Key);
+    if (std::unique_ptr<LoadedSnapshot> Snap =
+            lookupSnapshotCache(CacheDir, Key)) {
+      if (Opts.Stats)
+        std::printf("snapshot cache: hit %s\n", CachePath.c_str());
+      Pipeline P(std::move(Snap), PO);
+      return runSnapshotQuery(Opts, P, PO.D);
+    }
+    if (Opts.Stats)
+      std::printf("snapshot cache: miss (%s)\n", CachePath.c_str());
+  }
+
+  Pipeline P(Source, PO);
+  if (P.module())
+    printModule(Opts, P);
+  int ExitCode = pipelineExitCode(Opts, P);
+  if (!P.status().isOk())
+    return ExitCode;
+  if (!Opts.SaveSnapshot.empty() || Opts.SnapshotCache)
+    if (int Code = saveSnapshot(Opts, PO, P, Source))
+      return Code;
+  if (Opts.Stats)
+    printAnalysisStats(Opts, P);
+
+  const Module &M = *P.module();
+  if (Opts.DumpGraph) {
+    const SubtransitiveGraph *G = P.graph();
+    if (!G) {
+      std::fprintf(stderr, "error: --dump-graph requires a graph analysis\n");
+      return 1;
+    }
+    for (uint32_t N = 0; N != G->numNodes(); ++N)
+      for (NodeId S : G->succs(NodeId(N)))
+        std::printf("%s -> %s\n", G->describe(NodeId(N)).c_str(),
+                    G->describe(S).c_str());
+  }
+
+  // `--lint` and `--slice` / `--dce` / `--export-deps` consume the frozen
+  // graph and replace the query path entirely.  Flag validation limits
+  // them to the subtransitive/poly analyses, which always freeze.
+  if (Opts.Lint)
+    return runLintMode(Opts, M, *P.frozen(), PO.D, ExitCode);
+  if (Opts.sliceMode())
+    return runSliceModes(Opts, M, *P.frozen(), PO.D, ExitCode);
+  return runQueryMode(Opts, P, PO.D, ExitCode);
 }
 
 /// The whole tool; `main` adds the output check.
 int runTool(int Argc, char **Argv) {
   Options Opts;
-  for (int I = 1; I != Argc; ++I) {
-    std::string A = Argv[I];
-    if (startsWith(A, "--corpus="))
-      Opts.Corpus = A.substr(9);
-    else if (startsWith(A, "--analysis=")) {
-      Opts.Analysis = A.substr(11);
-      Opts.AnalysisGiven = true;
-    } else if (startsWith(A, "--query=")) {
-      Opts.Query = A.substr(8);
-      Opts.QueryGiven = true;
-    } else if (A == "--lint")
-      Opts.Lint = true;
-    else if (startsWith(A, "--lint=")) {
-      Opts.Lint = true;
-      std::string List = A.substr(7);
-      for (size_t Pos = 0; Pos <= List.size();) {
-        size_t Comma = List.find(',', Pos);
-        if (Comma == std::string::npos)
-          Comma = List.size();
-        if (Comma > Pos)
-          Opts.LintPasses.push_back(List.substr(Pos, Comma - Pos));
-        Pos = Comma + 1;
-      }
-      if (Opts.LintPasses.empty()) {
-        std::fprintf(stderr, "error: --lint= expects a pass list; plain "
-                             "--lint runs every pass\n");
-        return 2;
-      }
-    } else if (startsWith(A, "--lint-format=")) {
-      Opts.LintFormat = A.substr(14);
-      Opts.LintFormatGiven = true;
-    } else if (startsWith(A, "--slice=")) {
-      Opts.Slice = A.substr(8);
-      if (Opts.Slice.empty()) {
-        std::fprintf(stderr,
-                     "error: --slice expects expr@<line>:<col>[,back|fwd]\n");
-        return 2;
-      }
-    } else if (A == "--dce") {
-      Opts.Dce = true;
-    } else if (startsWith(A, "--export-deps=")) {
-      Opts.ExportDeps = A.substr(14);
-    }
-    else if (startsWith(A, "--congruence=")) {
-      Opts.Congruence = A.substr(13);
-      Opts.CongruenceGiven = true;
-    } else if (startsWith(A, "--policy=")) {
-      Opts.Policy = A.substr(9);
-      Opts.PolicyGiven = true;
-    } else if (startsWith(A, "--save-snapshot=")) {
-      Opts.SaveSnapshot = A.substr(16);
-      if (Opts.SaveSnapshot.empty()) {
-        std::fprintf(stderr, "error: --save-snapshot expects a file path\n");
-        return 2;
-      }
-    } else if (startsWith(A, "--load-snapshot=")) {
-      Opts.LoadSnapshot = A.substr(16);
-      if (Opts.LoadSnapshot.empty()) {
-        std::fprintf(stderr, "error: --load-snapshot expects a file path\n");
-        return 2;
-      }
-    } else if (A == "--snapshot-cache") {
-      Opts.SnapshotCache = true;
-    } else if (startsWith(A, "--snapshot-cache=")) {
-      Opts.SnapshotCache = true;
-      Opts.SnapshotDir = A.substr(17);
-      if (Opts.SnapshotDir.empty()) {
-        std::fprintf(stderr,
-                     "error: --snapshot-cache= expects a directory; plain "
-                     "--snapshot-cache uses the default cache\n");
-        return 2;
-      }
-    } else if (startsWith(A, "--snapshot-cache-max-mb=")) {
-      std::string N = A.substr(24);
-      if (N.empty() || N.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr,
-                     "error: --snapshot-cache-max-mb expects a number, got "
-                     "'%s'\n",
-                     N.c_str());
-        return 2;
-      }
-      Opts.SnapshotCacheMaxMb = std::stoull(N);
-    } else if (A == "--serve") {
-      Opts.Serve = true;
-    } else if (startsWith(A, "--serve-max-cost=")) {
-      std::string N = A.substr(17);
-      if (N.empty() || N.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr,
-                     "error: --serve-max-cost expects a number, got '%s'\n",
-                     N.c_str());
-        return 2;
-      }
-      Opts.ServeMaxCost = std::stoull(N);
-      if (Opts.ServeMaxCost == 0) {
-        std::fprintf(stderr, "error: --serve-max-cost must be positive\n");
-        return 2;
-      }
-    } else if (startsWith(A, "--serve-max-request-mb=")) {
-      std::string N = A.substr(23);
-      if (N.empty() || N.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr,
-                     "error: --serve-max-request-mb expects a number, got "
-                     "'%s'\n",
-                     N.c_str());
-        return 2;
-      }
-      Opts.ServeMaxRequestMb = std::stoull(N);
-      if (Opts.ServeMaxRequestMb == 0) {
-        std::fprintf(stderr,
-                     "error: --serve-max-request-mb must be positive\n");
-        return 2;
-      }
-    } else if (startsWith(A, "--threads=")) {
-      std::string N = A.substr(10);
-      if (N.empty() || N.find_first_not_of("0123456789") != std::string::npos) {
-        fprintf(stderr, "error: --threads expects a number, got '%s'\n",
-                N.c_str());
-        return 1;
-      }
-      Opts.Threads = std::stoul(N);
-      if (Opts.Threads == 0)
-        Opts.Threads = 1;
-    } else if (startsWith(A, "--kernel-threshold=")) {
-      std::string N = A.substr(19);
-      if (N.empty() || N.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr,
-                     "error: --kernel-threshold expects a number, got '%s'\n",
-                     N.c_str());
-        return 2;
-      }
-      Opts.KernelThreshold = std::stoll(N);
-    } else if (startsWith(A, "--kernel-chunk-rows=")) {
-      std::string N = A.substr(20);
-      if (N.empty() || N.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr,
-                     "error: --kernel-chunk-rows expects a number, got '%s'\n",
-                     N.c_str());
-        return 2;
-      }
-      Opts.KernelChunkRows = std::stoll(N);
-    } else if (startsWith(A, "--gen-shape=")) {
-      Opts.GenShape = A.substr(12);
-      if (Opts.GenShape.empty()) {
-        std::fprintf(stderr, "error: --gen-shape expects "
-                             "wide|deep|diamond|skewed:N[:seed]\n");
-        return 2;
-      }
-    } else if (startsWith(A, "--timeout-ms=")) {
-      std::string N = A.substr(13);
-      if (N.empty() || N.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr, "error: --timeout-ms expects a number, got "
-                             "'%s'\n",
-                     N.c_str());
-        return 2;
-      }
-      Opts.TimeoutMs = std::stoll(N);
-    } else if (startsWith(A, "--close-budget=")) {
-      std::string N = A.substr(15);
-      if (N.empty() || N.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr, "error: --close-budget expects a number, got "
-                             "'%s'\n",
-                     N.c_str());
-        return 2;
-      }
-      Opts.CloseBudget = std::stoull(N);
-      if (Opts.CloseBudget == 0) {
-        std::fprintf(stderr, "error: --close-budget must be positive\n");
-        return 2;
-      }
-    } else if (startsWith(A, "--degrade=")) {
-      Opts.Degrade = A.substr(10);
-    } else if (startsWith(A, "--trace-json=")) {
-      Opts.TraceJson = A.substr(13);
-      if (Opts.TraceJson.empty()) {
-        std::fprintf(stderr, "error: --trace-json expects a file path\n");
-        return 2;
-      }
-    } else if (startsWith(A, "--metrics-json=")) {
-      Opts.MetricsJson = A.substr(15);
-      if (Opts.MetricsJson.empty()) {
-        std::fprintf(stderr, "error: --metrics-json expects a file path\n");
-        return 2;
-      }
-    } else if (A == "--frozen") {
-      // No-op, kept for existing scripts: every closed graph is frozen.
-    } else if (A == "--stats")
-      Opts.Stats = true;
-    else if (A == "--run")
-      Opts.Run = true;
-    else if (A == "--print")
-      Opts.Print = true;
-    else if (A == "--dump-graph")
-      Opts.DumpGraph = true;
-    else if (A == "--help" || A == "-h")
-      return usage(Argv[0]);
-    else if (!startsWith(A, "--") && Opts.InputFile.empty())
-      Opts.InputFile = A;
-    else
-      return usage(Argv[0]);
-  }
+  if (int Code = parseFlags(Argc, Argv, Opts); Code != Continue)
+    return Code;
 
   // `--gen-shape` is a pure generator invocation: print the stress
   // program (the same source `--corpus=<spec>` would analyze) and exit.
@@ -857,271 +1452,13 @@ int runTool(int Argc, char **Argv) {
     return 0;
   }
 
-  // Reject mutually inconsistent flag combinations up front, before any
-  // work: a clear message and exit 2 beat a silently-ignored flag.
-  if (!Opts.Degrade.empty() && Opts.Degrade != "off" &&
-      Opts.Degrade != "standard" && Opts.Degrade != "partial") {
-    std::fprintf(stderr,
-                 "error: --degrade expects off|standard|partial, got '%s'\n",
-                 Opts.Degrade.c_str());
-    return 2;
-  }
-  if (!Opts.Degrade.empty() && Opts.Analysis != "hybrid" && !Opts.Serve) {
-    std::fprintf(stderr,
-                 "error: --degrade only applies to --analysis=hybrid or "
-                 "--serve (got --analysis=%s)\n",
-                 Opts.Analysis.c_str());
-    return 2;
-  }
-  if (Opts.Serve) {
-    // The daemon owns the whole pipeline per 'load' request; every flag
-    // that names an input or picks a batch output mode conflicts.
-    const char *Conflict = nullptr;
-    if (!Opts.InputFile.empty() || !Opts.Corpus.empty())
-      Conflict = "an input argument (programs arrive via 'load' requests)";
-    else if (Opts.QueryGiven)
-      Conflict = "--query (queries arrive as 'query' requests)";
-    else if (Opts.Lint)
-      Conflict = "--lint (lint arrives as 'lint' requests)";
-    else if (Opts.sliceMode())
-      Conflict = "--slice/--dce/--export-deps (slices arrive as 'slice' "
-                 "requests)";
-    else if (Opts.Run)
-      Conflict = "--run";
-    else if (Opts.Print)
-      Conflict = "--print";
-    else if (Opts.DumpGraph)
-      Conflict = "--dump-graph";
-    else if (!Opts.SaveSnapshot.empty())
-      Conflict = "--save-snapshot (use --snapshot-cache for warm restarts)";
-    else if (!Opts.LoadSnapshot.empty())
-      Conflict = "--load-snapshot (use --snapshot-cache for warm restarts)";
-    else if (Opts.AnalysisGiven)
-      Conflict = "--analysis (the daemon always runs the hybrid ladder)";
-    else if (Opts.CongruenceGiven || Opts.PolicyGiven)
-      Conflict = "--congruence/--policy (the daemon's snapshot keys pin "
-                 "the default configuration)";
-    else if (Opts.CloseBudget > 0)
-      Conflict = "--close-budget (use --serve-max-cost for admission)";
-    if (Conflict) {
-      std::fprintf(stderr, "error: --serve conflicts with %s\n", Conflict);
-      return 2;
-    }
-  }
-  if (Opts.Degrade == "off" && Opts.TimeoutMs >= 0) {
-    std::fprintf(stderr,
-                 "error: --degrade=off conflicts with --timeout-ms: a "
-                 "deadline needs a degradation rung to fall to; drop one "
-                 "of the flags\n");
-    return 2;
-  }
-  if (Opts.CloseBudget > 0 && Opts.Analysis != "subtransitive" &&
-      Opts.Analysis != "poly") {
-    std::fprintf(stderr,
-                 "error: --close-budget applies to the subtransitive close "
-                 "(--analysis=subtransitive|poly); --analysis=%s has no "
-                 "close phase it could bound\n",
-                 Opts.Analysis.c_str());
-    return 2;
-  }
-  if (Opts.LintFormatGiven && !Opts.Lint) {
-    std::fprintf(stderr,
-                 "error: --lint-format has no effect without --lint\n");
-    return 2;
-  }
-  if (Opts.Lint) {
-    if (Opts.QueryGiven) {
-      std::fprintf(stderr, "error: --lint replaces the query path; drop "
-                           "--query or --lint\n");
-      return 2;
-    }
-    if (Opts.Analysis != "subtransitive" && Opts.Analysis != "poly") {
-      std::fprintf(stderr,
-                   "error: --lint consumes the frozen subtransitive graph "
-                   "(--analysis=subtransitive|poly); --analysis=%s builds "
-                   "none\n",
-                   Opts.Analysis.c_str());
-      return 2;
-    }
-    if (Opts.LintFormat != "text" && Opts.LintFormat != "json" &&
-        Opts.LintFormat != "sarif") {
-      std::fprintf(stderr,
-                   "error: --lint-format expects text|json|sarif, got '%s'\n",
-                   Opts.LintFormat.c_str());
-      return 2;
-    }
-    for (const std::string &Id : Opts.LintPasses)
-      if (!LintEngine::findPass(Id)) {
-        std::string Known;
-        for (const LintPassInfo &P : LintEngine::passes())
-          Known += (Known.empty() ? "" : ", ") + std::string(P.Id);
-        std::fprintf(stderr, "error: unknown lint pass '%s' (known: %s)\n",
-                     Id.c_str(), Known.c_str());
-        return 2;
-      }
-  }
-  if (Opts.sliceMode()) {
-    // The three slice-subsystem modes each own stdout, so they are
-    // mutually exclusive, and they replace the query path like --lint.
-    int NumModes = (!Opts.Slice.empty() ? 1 : 0) + (Opts.Dce ? 1 : 0) +
-                   (!Opts.ExportDeps.empty() ? 1 : 0);
-    if (NumModes > 1) {
-      std::fprintf(stderr, "error: --slice, --dce and --export-deps are "
-                           "mutually exclusive; pick one per invocation\n");
-      return 2;
-    }
-    const char *Conflict = nullptr;
-    if (Opts.Lint)
-      Conflict = "--lint";
-    else if (Opts.QueryGiven)
-      Conflict = "--query";
-    else if (Opts.Run)
-      Conflict = "--run (interpret the original and the residual in "
-                 "separate invocations)";
-    else if (Opts.Print)
-      Conflict = "--print";
-    else if (Opts.DumpGraph)
-      Conflict = "--dump-graph";
-    if (Conflict) {
-      std::fprintf(stderr, "error: --slice/--dce/--export-deps conflicts "
-                           "with %s\n",
-                   Conflict);
-      return 2;
-    }
-    if (Opts.Analysis != "subtransitive" && Opts.Analysis != "poly") {
-      std::fprintf(stderr,
-                   "error: --slice/--dce/--export-deps consume the frozen "
-                   "subtransitive graph (--analysis=subtransitive|poly); "
-                   "--analysis=%s builds none\n",
-                   Opts.Analysis.c_str());
-      return 2;
-    }
-    if (!Opts.ExportDeps.empty() && Opts.ExportDeps != "dot" &&
-        Opts.ExportDeps != "json") {
-      std::fprintf(stderr, "error: --export-deps expects dot|json, got "
-                           "'%s'\n",
-                   Opts.ExportDeps.c_str());
-      return 2;
-    }
-    if (!Opts.Slice.empty()) {
-      // `expr@<line>:<col>[,back|fwd]`
-      std::string Spec = Opts.Slice;
-      size_t Comma = Spec.find(',');
-      if (Comma != std::string::npos) {
-        Opts.SliceDir = Spec.substr(Comma + 1);
-        Spec.resize(Comma);
-      }
-      bool SpecOk = startsWith(Spec, "expr@");
-      if (SpecOk) {
-        std::string Pos = Spec.substr(5);
-        size_t Colon = Pos.find(':');
-        SpecOk = Colon != std::string::npos && Colon > 0 &&
-                 Colon + 1 < Pos.size() &&
-                 Pos.find_first_not_of("0123456789:") == std::string::npos &&
-                 Pos.find(':', Colon + 1) == std::string::npos;
-        if (SpecOk) {
-          Opts.SliceLine = std::stoul(Pos.substr(0, Colon));
-          Opts.SliceCol = std::stoul(Pos.substr(Colon + 1));
-        }
-      }
-      if (!SpecOk || (Opts.SliceDir != "back" && Opts.SliceDir != "fwd")) {
-        std::fprintf(stderr,
-                     "error: --slice expects expr@<line>:<col>[,back|fwd], "
-                     "got '%s'\n",
-                     Opts.Slice.c_str());
-        return 2;
-      }
-    }
-  }
-  if (!Opts.LoadSnapshot.empty() || Opts.SnapshotCache) {
-    // A served snapshot has no Module and no live graph, so everything
-    // that rebuilds or walks one conflicts; a snapshot built under a
-    // different close budget or degradation ladder would silently answer
-    // for the wrong configuration, so those flags fail fast too.
-    const char *Mode =
-        !Opts.LoadSnapshot.empty() ? "--load-snapshot" : "--snapshot-cache";
-    const char *Conflict = nullptr;
-    if (Opts.CloseBudget > 0)
-      Conflict = "--close-budget";
-    else if (!Opts.Degrade.empty())
-      Conflict = "--degrade";
-    else if (Opts.Lint && Opts.LoadSnapshot.empty())
-      Conflict = "--lint"; // lint-over-snapshot works for --load-snapshot
-                           // only: it reparses the named input
-    else if (Opts.sliceMode() && Opts.LoadSnapshot.empty())
-      Conflict = "--slice/--dce/--export-deps"; // same reparse-the-input
-                                                // rule as --lint
-    else if (Opts.Run)
-      Conflict = "--run";
-    else if (Opts.Print)
-      Conflict = "--print";
-    else if (Opts.DumpGraph)
-      Conflict = "--dump-graph";
-    else if (Opts.AnalysisGiven && Opts.Analysis != "subtransitive" &&
-             Opts.Analysis != "poly")
-      Conflict = "--analysis";
-    if (Conflict) {
-      std::fprintf(stderr,
-                   "error: %s conflicts with %s: the flag needs a rebuilt "
-                   "(or live) pipeline, but snapshots are served as-is; "
-                   "drop the flag or rebuild without the snapshot\n",
-                   Mode, Conflict);
-      return 2;
-    }
-    if (!Opts.Lint && !Opts.sliceMode() && Opts.Query != "labels" &&
-        Opts.Query != "all-labels") {
-      std::fprintf(stderr,
-                   "error: %s serves label-set queries only "
-                   "(--query=labels|all-labels), got --query=%s\n",
-                   Mode, Opts.Query.c_str());
-      return 2;
-    }
-  }
-  if (!Opts.LoadSnapshot.empty() && (Opts.Lint || Opts.sliceMode()) &&
-      Opts.Corpus.empty() &&
-      (Opts.InputFile.empty() || Opts.InputFile == "-")) {
-    std::fprintf(stderr,
-                 "error: --load-snapshot %s needs the source named too "
-                 "(a file or --corpus): the pass walks the AST, "
-                 "which the snapshot does not persist\n",
-                 Opts.Lint ? "--lint" : "--slice/--dce/--export-deps");
-    return 2;
-  }
-  if (!Opts.LoadSnapshot.empty()) {
-    if (!Opts.SaveSnapshot.empty() || Opts.SnapshotCache) {
-      std::fprintf(stderr,
-                   "error: --load-snapshot conflicts with %s: loading "
-                   "skips the pipeline that would produce the snapshot\n",
-                   !Opts.SaveSnapshot.empty() ? "--save-snapshot"
-                                              : "--snapshot-cache");
-      return 2;
-    }
-    if (Opts.CongruenceGiven || Opts.PolicyGiven) {
-      std::fprintf(stderr,
-                   "error: --load-snapshot ignores %s: the snapshot was "
-                   "built under its own configuration; rebuild with "
-                   "--save-snapshot to change it\n",
-                   Opts.CongruenceGiven ? "--congruence" : "--policy");
-      return 2;
-    }
-  }
-  if (!Opts.SaveSnapshot.empty() && Opts.SnapshotCache) {
-    std::fprintf(stderr, "error: --save-snapshot conflicts with "
-                         "--snapshot-cache: pick one destination\n");
-    return 2;
-  }
-  if (!Opts.SaveSnapshot.empty() && Opts.Analysis != "subtransitive" &&
-      Opts.Analysis != "poly") {
-    std::fprintf(stderr,
-                 "error: --save-snapshot persists the frozen subtransitive "
-                 "graph (--analysis=subtransitive|poly); --analysis=%s "
-                 "builds none\n",
-                 Opts.Analysis.c_str());
-    return 2;
-  }
+  PipelineOptions PO;
+  if (int Code = validate(Opts, PO, Argv[0]); Code != Continue)
+    return Code;
 
-  // Exporter lives on main's stack so every later return path — governed
-  // aborts included — still writes the requested trace/metrics files.
+  // Exporter lives on runTool's stack so every later return path —
+  // governed aborts included — still writes the requested trace/metrics
+  // files.
   struct ObservabilityExport {
     const Options &Opts;
     ~ObservabilityExport() {
@@ -1147,468 +1484,11 @@ int runTool(int Argc, char **Argv) {
                    Opts.TraceJson.c_str());
   }
 
-  // `--serve`: hand stdin/stdout to the daemon; everything else in this
-  // file is the batch pipeline, which the daemon re-runs per 'load'.
-  if (Opts.Serve) {
-    serve::ServeOptions SO;
-    SO.Threads = Opts.Threads;
-    SO.KernelThreshold = Opts.KernelThreshold;
-    SO.DefaultDeadlineMs = Opts.TimeoutMs;
-    SO.MaxInflightCost = Opts.ServeMaxCost;
-    SO.MaxRequestBytes = Opts.ServeMaxRequestMb << 20;
-    SO.SnapshotCache = Opts.SnapshotCache;
-    SO.SnapshotDir = Opts.SnapshotDir;
-    SO.SnapshotCacheMaxBytes = Opts.SnapshotCacheMaxMb << 20;
-    if (!Opts.Degrade.empty())
-      SO.Degrade = Opts.Degrade;
-    SO.Stats = Opts.Stats;
-    serve::Server Daemon(0, 1, SO);
-    return Daemon.run();
-  }
-
-  // `--load-snapshot`: the whole front half of the pipeline — read,
-  // parse, infer, build, close, freeze — is replaced by one mmap.
-  if (!Opts.LoadSnapshot.empty()) {
-    Status LoadStatus = Status::ok();
-    std::unique_ptr<LoadedSnapshot> Snap =
-        LoadedSnapshot::load(Opts.LoadSnapshot, LoadStatus);
-    if (!Snap) {
-      std::fprintf(stderr, "error: %s\n", LoadStatus.toString().c_str());
-      return 1;
-    }
-    // When an input was named alongside the snapshot, verify the header's
-    // content hash against it — a stale snapshot must never silently
-    // answer for edited source.  (Stdin is not drained for this.)
-    std::string VerifiedSource;
-    if (!Opts.Corpus.empty() ||
-        (!Opts.InputFile.empty() && Opts.InputFile != "-")) {
-      bool Ok = true;
-      VerifiedSource = loadInput(Opts, Ok);
-      if (!Ok)
-        return 1;
-      uint64_t Key =
-          snapshotCacheKey(VerifiedSource, snapshotConfigString(Opts));
-      if (Snap->contentHash() != 0 && Snap->contentHash() != Key) {
-        std::fprintf(stderr,
-                     "error: snapshot '%s' was built from different source "
-                     "or configuration than the given input; rebuild it "
-                     "with --save-snapshot\n",
-                     Opts.LoadSnapshot.c_str());
-        return 1;
-      }
-    }
-    // `--lint` and the slice modes over the mapping: flag validation
-    // guaranteed an input was named, so VerifiedSource holds the
-    // (hash-checked) program text the AST is reparsed from.
-    if (Opts.Lint || Opts.sliceMode()) {
-      Deadline D = deadlineOf(Opts);
-      std::unique_ptr<Module> M =
-          reparseForSnapshot(Opts, *Snap, VerifiedSource);
-      if (!M)
-        return 1;
-      return Opts.Lint ? runLintMode(Opts, *M, Snap->frozen(), D, 0)
-                       : runSliceModes(Opts, *M, Snap->frozen(), D, 0);
-    }
-    return serveFromSnapshot(Opts, *Snap);
-  }
-
-  bool Ok = true;
-  std::string Source = loadInput(Opts, Ok);
-  if (!Ok)
-    return 1;
-
-  // `--snapshot-cache`: content-addressed reuse.  A hit serves straight
-  // from the mapped file (no parse below this line); a miss runs the
-  // normal pipeline and fills the cache after the freeze.
-  uint64_t CacheKey = 0;
-  std::string CachePath;
-  if (Opts.SnapshotCache) {
-    CacheKey = snapshotCacheKey(Source, snapshotConfigString(Opts));
-    CachePath =
-        snapshotCachePath(snapshotCacheDir(Opts.SnapshotDir), CacheKey);
-    Status CacheStatus = Status::ok();
-    if (std::unique_ptr<LoadedSnapshot> Snap =
-            LoadedSnapshot::load(CachePath, CacheStatus)) {
-      if (Snap->contentHash() == CacheKey) {
-        counter("snapshot.cache-hits").inc();
-        touchSnapshotEntry(CachePath); // a hit refreshes the LRU order
-        traceInstant("snapshot.cache-hit");
-        if (Opts.Stats)
-          std::printf("snapshot cache: hit %s\n", CachePath.c_str());
-        return serveFromSnapshot(Opts, *Snap);
-      }
-      // A key collision with a different content hash: fall through and
-      // rebuild rather than serve the wrong program's answers.
-      Snap.reset();
-    }
-    counter("snapshot.cache-misses").inc();
-    traceInstant("snapshot.cache-miss");
-    if (Opts.Stats)
-      std::printf("snapshot cache: miss (%s)\n", CachePath.c_str());
-  }
-
-  DiagnosticEngine Diags;
-  std::unique_ptr<Module> M = parseProgram(Source, Diags);
-  if (!M) {
-    std::fprintf(stderr, "%s", Diags.render().c_str());
-    return 1;
-  }
-
-  DiagnosticEngine InferDiags;
-  bool Typed = inferTypes(*M, InferDiags);
-  if (!Typed)
-    std::fprintf(stderr, "note: type inference failed (%s); "
-                         "continuing untyped — termination is not "
-                         "guaranteed by the paper, widening applies\n",
-                 InferDiags.diagnostics().empty()
-                     ? "?"
-                     : InferDiags.diagnostics().front().Message.c_str());
-
-  if (Opts.Print)
-    std::printf("%s", printProgram(*M).c_str());
-
-  if (Opts.Stats) {
-    std::printf("program: %u exprs, %u binders, %u abstractions, %u "
-                "constructors\n",
-                M->numExprs(), M->numVars(), M->numLabels(), M->numCons());
-    if (Typed) {
-      TypeMetrics TM = computeTypeMetrics(*M);
-      std::printf("types: max size %u, avg size %.2f (k_avg), max order "
-                  "%u, max arity %u\n",
-                  TM.MaxTypeSize, TM.AvgTypeSize, TM.MaxOrder, TM.MaxArity);
-    }
-  }
-
-  SubtransitiveConfig GC;
-  if (Opts.Congruence == "none")
-    GC.Congruence = CongruenceMode::None;
-  else if (Opts.Congruence == "bytype")
-    GC.Congruence = CongruenceMode::ByType;
-  else if (Opts.Congruence == "bybase")
-    GC.Congruence = CongruenceMode::ByBaseAndType;
-  else
-    return usage(Argv[0]);
-  if (Opts.Policy == "paper")
-    GC.Policy = ClosurePolicy::PaperExact;
-  else if (Opts.Policy == "nodeexists")
-    GC.Policy = ClosurePolicy::NodeExists;
-  else if (Opts.Policy == "undemanded")
-    GC.Policy = ClosurePolicy::Undemanded;
-  else
-    return usage(Argv[0]);
-
-  // One absolute deadline covers the whole pipeline (analysis, freeze,
-  // queries): later stages see only whatever wall-clock remains.
-  GC.MaxNodes = Opts.CloseBudget;
-  Deadline D = deadlineOf(Opts);
-  int ExitCode = 0;
-
-  AnalysisResult R;
-  Timer T;
-  if (Opts.Analysis == "standard") {
-    R.Std = std::make_unique<StandardCFA>(*M);
-    Status S = R.Std->run(D);
-    if (!S.isOk()) {
-      std::fprintf(stderr, "error: standard analysis aborted: %s\n",
-                   S.toString().c_str());
-      return 3;
-    }
-  } else if (Opts.Analysis == "unify") {
-    R.Uni = std::make_unique<UnificationCFA>(*M);
-    R.Uni->run();
-  } else if (Opts.Analysis == "poly") {
-    R.Poly = std::make_unique<PolyvariantCFA>(*M, GC);
-    R.Poly->run();
-    if (R.Poly->graph().aborted()) {
-      std::fprintf(stderr, "error: close aborted: %s\n",
-                   R.Poly->graph().closeStatus().toString().c_str());
-      return R.Poly->graph().closeStatus() == StatusCode::ResourceExhausted
-                 ? 6
-                 : 3;
-    }
-  } else if (Opts.Analysis == "hybrid") {
-    HybridOptions HO;
-    HO.BudgetFactor = 8;
-    HO.Threads = Opts.Threads;
-    HO.D = D;
-    HO.Degrade = Opts.Degrade == "off"       ? DegradeMode::Off
-                 : Opts.Degrade == "partial" ? DegradeMode::Partial
-                                             : DegradeMode::Standard;
-    if (Opts.KernelThreshold >= 0)
-      HO.KernelThreshold = static_cast<size_t>(Opts.KernelThreshold);
-    if (Opts.KernelChunkRows >= 0)
-      HO.KernelChunkRows = static_cast<uint32_t>(Opts.KernelChunkRows);
-    R.Hybrid = std::make_unique<HybridCFA>(*M, HO);
-    Status S = R.Hybrid->solve();
-    if (Opts.Stats) {
-      std::printf("hybrid engine: %s\n", engineName(R.Hybrid->engine()));
-      std::printf("degradation report: %s\n",
-                  R.Hybrid->report().toJson().c_str());
-    }
-    if (!S.isOk()) {
-      std::fprintf(stderr, "error: hybrid analysis served no answer: %s\n",
-                   S.toString().c_str());
-      return S == StatusCode::ResourceExhausted ? 6 : 3;
-    }
-    if (Opts.governed()) {
-      if (R.Hybrid->engine() == HybridCFA::Engine::Standard)
-        ExitCode = 4;
-      else if (R.Hybrid->engine() == HybridCFA::Engine::PartialAnswer)
-        ExitCode = 5;
-    }
-  } else if (Opts.Analysis == "subtransitive") {
-    R.Graph = std::make_unique<SubtransitiveGraph>(*M, GC);
-    R.Graph->build();
-    Status S = R.Graph->close(D);
-    if (!S.isOk()) {
-      std::fprintf(stderr, "error: close aborted: %s\n",
-                   S.toString().c_str());
-      return S == StatusCode::ResourceExhausted ? 6 : 3;
-    }
-  } else {
-    return usage(Argv[0]);
-  }
-  R.AnalysisMs = T.millis();
-
-  // Compact the closed graph into a CSR snapshot and serve every query
-  // through the (optionally parallel) engine.  The hybrid analysis
-  // freezes internally on subtransitive success.
-  if (const SubtransitiveGraph *G = R.graph(); G && !R.Hybrid) {
-    R.Snapshot = std::make_unique<FrozenGraph>(*G);
-    R.Engine = std::make_unique<QueryEngine>(*R.Snapshot, Opts.Threads);
-    if (Opts.KernelThreshold >= 0)
-      R.Engine->setKernelThreshold(static_cast<size_t>(Opts.KernelThreshold));
-    if (Opts.KernelChunkRows >= 0)
-      R.Engine->setKernelChunkRows(
-          static_cast<uint32_t>(Opts.KernelChunkRows));
-  }
-
-  // `--save-snapshot` / the `--snapshot-cache` miss fill: persist the
-  // fresh frozen graph (and its complete kernel matrix) for later warm
-  // loads.  R.Snapshot is set whenever the subtransitive/poly pipeline
-  // closed cleanly.
-  if (!Opts.SaveSnapshot.empty() || (Opts.SnapshotCache && !CachePath.empty())) {
-    if (!R.Snapshot || !R.Snapshot->status().isOk()) {
-      std::fprintf(stderr, "error: cannot persist a snapshot: no frozen "
-                           "graph (close incomplete or analysis "
-                           "graph-free)\n");
-      return 1;
-    }
-    const std::string &Dest =
-        !Opts.SaveSnapshot.empty() ? Opts.SaveSnapshot : CachePath;
-    uint64_t Key = Opts.SnapshotCache
-                       ? CacheKey
-                       : snapshotCacheKey(Source, snapshotConfigString(Opts));
-    Status WS = Status::ok();
-    if (Opts.SnapshotCache)
-      WS = ensureSnapshotDir(snapshotCacheDir(Opts.SnapshotDir));
-    if (WS.isOk())
-      WS = persistSnapshot(Dest, *R.Snapshot, *M, Key, Opts.Threads);
-    if (!WS.isOk()) {
-      std::fprintf(stderr, "error: %s\n", WS.toString().c_str());
-      return 1;
-    }
-    if (Opts.SnapshotCache && Opts.SnapshotCacheMaxMb != 0) {
-      size_t Evicted = enforceSnapshotCacheBudget(
-          snapshotCacheDir(Opts.SnapshotDir),
-          Opts.SnapshotCacheMaxMb << 20);
-      if (Evicted != 0 && Opts.Stats)
-        std::printf("snapshot cache: evicted %zu entr%s (cap %llu MiB)\n",
-                    Evicted, Evicted == 1 ? "y" : "ies",
-                    (unsigned long long)Opts.SnapshotCacheMaxMb);
-    }
-    if (Opts.Stats)
-      std::printf("snapshot: wrote %s\n", Dest.c_str());
-  }
-
-  if (Opts.Stats) {
-    std::printf("analysis: %s in %.3f ms\n", Opts.Analysis.c_str(),
-                R.AnalysisMs);
-    if (const SubtransitiveGraph *G = R.graph()) {
-      const GraphStats &S = G->stats();
-      std::printf("graph: build %llu nodes / %llu edges, close +%llu nodes "
-                  "/ +%llu edges, %llu rule firings, %llu widenings\n",
-                  (unsigned long long)S.BuildNodes,
-                  (unsigned long long)S.BuildEdges,
-                  (unsigned long long)S.CloseNodes,
-                  (unsigned long long)S.CloseEdges,
-                  (unsigned long long)S.CloseRuleFirings,
-                  (unsigned long long)S.Widenings);
-    }
-    if (const FrozenGraph *F = R.frozen())
-      std::printf("frozen: %u nodes / %llu edges compacted in %.3f ms, "
-                  "%u query lane(s)\n",
-                  F->numNodes(), (unsigned long long)F->numEdges(),
-                  F->freezeMillis(),
-                  R.engine() ? R.engine()->threads() : 1);
-    if (R.Std)
-      std::printf("standard: %llu propagations, %llu insertions, %llu "
-                  "edges\n",
-                  (unsigned long long)R.Std->stats().Propagations,
-                  (unsigned long long)R.Std->stats().SetInsertions,
-                  (unsigned long long)R.Std->stats().Edges);
-    if (R.Uni)
-      std::printf("unify: %llu unions, %u classes\n",
-                  (unsigned long long)R.Uni->unions(), R.Uni->numClasses());
-  }
-
-  if (Opts.DumpGraph) {
-    if (const SubtransitiveGraph *G = R.graph()) {
-      for (uint32_t N = 0; N != G->numNodes(); ++N)
-        for (NodeId S : G->succs(NodeId(N)))
-          std::printf("%s -> %s\n", G->describe(NodeId(N)).c_str(),
-                      G->describe(S).c_str());
-    } else {
-      std::fprintf(stderr, "error: --dump-graph requires a graph analysis\n");
-      return 1;
-    }
-  }
-
-  // `--lint` and `--slice` / `--dce` / `--export-deps` consume the frozen
-  // graph and replace the query path entirely.  Flag validation limits
-  // them to the subtransitive/poly analyses, which always freeze.
-  if (Opts.Lint)
-    return runLintMode(Opts, *M, *R.frozen(), D, ExitCode);
-  if (Opts.sliceMode())
-    return runSliceModes(Opts, *M, *R.frozen(), D, ExitCode);
-
-  auto LabelName = [&](uint32_t L) { return describeLabel(*M, LabelId(L)); };
-  auto ExprName = [&](uint32_t I) { return describeExpr(*M, ExprId(I)); };
-  // The graph-consuming queries read the frozen graph, which the
-  // graph-free analyses (standard, unify, a degraded hybrid) never build.
-  const FrozenGraph *F = R.frozen();
-  auto needsGraph = [&](const char *Query) {
-    if (!F)
-      std::fprintf(stderr, "error: %s needs a graph analysis\n", Query);
-    return !F;
-  };
-  Timer QueryTimer;
-  if (Opts.Query == "labels") {
-    LabelSetWriter(stdout, labelNames(*M)).rootLine(R.labels(M->root()));
-  } else if (Opts.Query == "all-labels") {
-    if (QueryEngine *E = R.engine()) {
-      if (int Code = printEngineAllLabels(Opts, *E, M->numExprs(), D,
-                                          ExprName, labelNames(*M)))
-        ExitCode = Code;
-    } else {
-      DenseBitset Set;
-      printAllLabels(
-          labelNames(*M), M->numExprs(),
-          [&](uint32_t I) {
-            Set = R.labels(ExprId(I));
-            return &Set;
-          },
-          ExprName);
-    }
-  } else if (Opts.Query == "effects") {
-    if (needsGraph("effects"))
-      return 1;
-    EffectsAnalysis Eff(*M, *F);
-    Eff.run();
-    std::printf("%u side-effecting occurrences\n", Eff.numEffectful());
-    for (uint32_t I = 0; I != M->numExprs(); ++I)
-      if (Eff.isEffectful(ExprId(I)))
-        std::printf("  %s\n", ExprName(I).c_str());
-  } else if (Opts.Query == "called-once") {
-    if (needsGraph("called-once"))
-      return 1;
-    CalledOnceAnalysis CO(*M, *F);
-    CO.run();
-    for (LabelId L : CO.calledOnce())
-      std::printf("called once: %s at %s\n", describeLabel(*M, L).c_str(),
-                  describeExpr(*M, CO.uniqueCallSite(L)).c_str());
-  } else if (Opts.Query == "callgraph") {
-    if (needsGraph("callgraph"))
-      return 1;
-    CallGraph CG(*M, *R.engine());
-    CG.run();
-    for (uint32_t Caller = 0; Caller != CG.numCallers(); ++Caller) {
-      if (CG.calleesOf(Caller).empty())
-        continue;
-      std::string Name =
-          Caller == CG.rootIndex() ? "<top-level>" : LabelName(Caller);
-      std::printf("%s calls:", Name.c_str());
-      CG.calleesOf(Caller).forEach([&](uint32_t L) {
-        std::printf(" %s", LabelName(L).c_str());
-      });
-      std::printf("\n");
-    }
-    for (LabelId Dead : CG.deadFunctions())
-      std::printf("dead: %s\n", describeLabel(*M, Dead).c_str());
-  } else if (Opts.Query == "dead-code") {
-    DeadCodeAwareCFA Dc(*M);
-    Dc.run();
-    uint32_t DeadExprs = 0;
-    for (uint32_t I = 0; I != M->numExprs(); ++I)
-      DeadExprs += !Dc.isLive(ExprId(I));
-    std::printf("%u of %u occurrences are dead code\n", DeadExprs,
-                M->numExprs());
-    for (LabelId Dead : Dc.deadFunctions())
-      std::printf("never called: %s\n", describeLabel(*M, Dead).c_str());
-    // Cross-check against the frozen engine when available: a function the
-    // (over-approximating) subtransitive flow never calls must also be dead
-    // under the liveness-gated analysis.
-    if (QueryEngine *E = R.engine()) {
-      CallGraph CG(*M, *E);
-      CG.run();
-      uint32_t Agree = 0, Mismatch = 0;
-      for (LabelId L : CG.deadFunctions()) {
-        bool Dead = false;
-        for (LabelId D : Dc.deadFunctions())
-          Dead |= D == L;
-        (Dead ? Agree : Mismatch) += 1;
-      }
-      if (Mismatch)
-        std::printf("engine cross-check: %u never-called function(s) NOT "
-                    "dead-code-aware dead (unexpected)\n",
-                    Mismatch);
-      else
-        std::printf("engine cross-check: %u never-called function(s) "
-                    "confirmed dead\n",
-                    Agree);
-    }
-  } else if (startsWith(Opts.Query, "klimited:")) {
-    if (needsGraph("klimited"))
-      return 1;
-    uint32_t K = std::stoul(Opts.Query.substr(9));
-    KLimitedCFA KL(*M, *F, K);
-    KL.run();
-    for (uint32_t I = 0; I != M->numExprs(); ++I) {
-      if (!isa<AppExpr>(M->expr(ExprId(I))))
-        continue;
-      const LimitedSet &S = KL.ofCallSite(ExprId(I));
-      std::string Callees;
-      if (S.isMany()) {
-        Callees = "many";
-      } else {
-        for (uint32_t L : S.ids()) {
-          if (!Callees.empty())
-            Callees += ", ";
-          Callees += LabelName(L);
-        }
-        if (Callees.empty())
-          Callees = "none";
-      }
-      std::printf("%-18s calls: %s\n", ExprName(I).c_str(), Callees.c_str());
-    }
-  } else {
-    return usage(Argv[0]);
-  }
-  if (Opts.Stats)
-    std::printf("queries: %.3f ms\n", QueryTimer.millis());
-
-  if (Opts.Run) {
-    InterpreterResult Run = interpret(*M, 50000000);
-    for (const std::string &Line : Run.Output)
-      std::printf("output: %s\n", Line.c_str());
-    if (Run.Completed)
-      std::printf("result: %s (in %llu steps)\n", Run.FinalValue.c_str(),
-                  (unsigned long long)Run.Steps);
-    else
-      std::printf("aborted: %s\n", Run.Abort.c_str());
-  }
-
-  return ExitCode;
+  if (Opts.Serve)
+    return runServe(Opts, PO);
+  if (!Opts.LoadSnapshot.empty())
+    return runFromSnapshot(Opts, PO);
+  return runLive(Opts, PO);
 }
 
 } // namespace

@@ -6,10 +6,6 @@
 
 #include "serve/Epoch.h"
 
-#include "core/LabelSetKernel.h"
-#include "parser/Parser.h"
-#include "sema/Infer.h"
-#include "support/Diagnostics.h"
 #include "support/Metrics.h"
 
 #include <algorithm>
@@ -30,41 +26,24 @@ void recordEpochDelta(int64_t Delta) {
 }
 } // namespace
 
-Epoch::Epoch(uint64_t Id, std::unique_ptr<Module> Mod,
-             std::unique_ptr<HybridCFA> H)
-    : EpochId(Id), M(std::move(Mod)), Hybrid(std::move(H)) {
-  assert(Hybrid && Hybrid->engine() != HybridCFA::Engine::None &&
-         "live epoch needs a served ladder");
-  Q = Hybrid->queryEngine(); // null when the ladder degraded
-  CanonExprs = M->numExprs();
-  CanonLabels = M->numLabels();
-  RootId = M->root();
+Epoch::Epoch(uint64_t Id, std::unique_ptr<Pipeline> Served)
+    : EpochId(Id), P(std::move(Served)) {
+  assert(P->status().isOk() && P->module() && "epoch needs a served module");
+  Q = P->engine(); // null when the ladder degraded
+  CanonExprs = P->module()->numExprs();
+  CanonLabels = P->module()->numLabels();
+  RootId = P->module()->root();
   recordEpochDelta(+1);
 }
 
-Epoch::Epoch(uint64_t Id, std::unique_ptr<Module> Mod,
-             std::unique_ptr<LoadedSnapshot> S, unsigned Threads,
-             size_t KernelThreshold) // NOLINT(bugprone-easily-swappable-parameters)
-    : EpochId(Id), M(std::move(Mod)), Snap(std::move(S)) {
-  MappedEngine = std::make_unique<QueryEngine>(Snap->frozen(), Threads);
-  MappedEngine->setKernelThreshold(KernelThreshold);
-  if (auto Kern = Snap->adoptKernel())
-    MappedEngine->adoptKernel(std::move(Kern));
-  Q = MappedEngine.get();
-  CanonExprs = M->numExprs();
-  CanonLabels = M->numLabels();
-  RootId = M->root();
-  recordEpochDelta(+1);
-}
-
-Epoch::Epoch(uint64_t Id, DeltaView V, std::string Source, unsigned Threads,
-             size_t KernelThreshold)
+Epoch::Epoch(uint64_t Id, DeltaView V, std::string Source,
+             const PipelineOptions &O)
     : EpochId(Id), View(std::move(V)), DeltaSource(std::move(Source)),
-      DeltaThreads(Threads) {
+      DeltaOpts(O) {
   assert(View.Frozen && "delta epoch needs a frozen view");
-  MappedEngine = std::make_unique<QueryEngine>(*View.Frozen, Threads);
-  MappedEngine->setKernelThreshold(KernelThreshold);
-  Q = MappedEngine.get();
+  ViewEngine = std::make_unique<QueryEngine>(*View.Frozen, O.Threads);
+  ViewEngine->setKernelThreshold(O.KernelThreshold);
+  Q = ViewEngine.get();
   CanonExprs = View.NumExprs;
   CanonLabels = View.NumLabels;
   // Canonical numbering puts the outermost spine let — the program root —
@@ -76,19 +55,11 @@ Epoch::Epoch(uint64_t Id, DeltaView V, std::string Source, unsigned Threads,
 Epoch::~Epoch() { recordEpochDelta(-1); }
 
 const char *Epoch::engine() const {
-  if (View.Frozen)
-    return "delta";
-  if (Snap)
-    return "snapshot";
-  return engineName(Hybrid->engine());
+  return isDelta() ? "delta" : P->servedBy();
 }
 
 const FrozenGraph *Epoch::frozen() const {
-  if (View.Frozen)
-    return View.Frozen.get();
-  if (Snap)
-    return &Snap->frozen();
-  return Hybrid->frozen();
+  return isDelta() ? View.Frozen.get() : P->frozen();
 }
 
 uint64_t Epoch::cost() const {
@@ -97,9 +68,11 @@ uint64_t Epoch::cost() const {
   return C ? C : 1;
 }
 
-DenseBitset Epoch::translateRow(const DenseBitset &ShadowRow) const {
+DenseBitset Epoch::fromEngine(DenseBitset Row) const {
+  if (!isDelta())
+    return Row;
   DenseBitset Out(CanonLabels);
-  ShadowRow.forEach([&](uint32_t ShadowL) {
+  Row.forEach([&](uint32_t ShadowL) {
     uint32_t C = View.LabelFromShadow[ShadowL];
     if (C != ~0u)
       Out.insert(C);
@@ -111,15 +84,8 @@ Status Epoch::labelsOf(ExprId E, const Deadline &D, DenseBitset &Out) {
   if (D.expired())
     return Status::deadlineExceeded("query deadline expired before start");
   std::lock_guard<std::mutex> Lock(Mu);
-  if (View.Frozen) {
-    Out = translateRow(Q->labelsOf(ExprId(View.ExprToShadow[E.index()])));
-    return Status::ok();
-  }
-  if (Q) {
-    Out = Q->labelsOf(E);
-    return Status::ok();
-  }
-  Out = Hybrid->labelSet(E); // table read / universal set on degraded rungs
+  // A degraded rung answers by table read or the universal set.
+  Out = Q ? fromEngine(Q->labelsOf(toEngine(E))) : P->labelsOf(E);
   return Status::ok();
 }
 
@@ -127,16 +93,8 @@ Status Epoch::isLabelIn(ExprId E, LabelId L, const Deadline &D, bool &Out) {
   if (D.expired())
     return Status::deadlineExceeded("query deadline expired before start");
   std::lock_guard<std::mutex> Lock(Mu);
-  if (View.Frozen) {
-    Out = Q->isLabelIn(ExprId(View.ExprToShadow[E.index()]),
-                       LabelId(View.LabelToShadow[L.index()]));
-    return Status::ok();
-  }
-  if (Q) {
-    Out = Q->isLabelIn(E, L);
-    return Status::ok();
-  }
-  Out = Hybrid->labelSet(E).contains(L.index());
+  Out = Q ? Q->isLabelIn(toEngine(E), toEngine(L))
+          : P->labelsOf(E).contains(L.index());
   return Status::ok();
 }
 
@@ -145,28 +103,23 @@ Status Epoch::occurrencesOf(LabelId L, const Deadline &D,
   if (D.expired())
     return Status::deadlineExceeded("query deadline expired before start");
   std::lock_guard<std::mutex> Lock(Mu);
-  if (View.Frozen) {
-    Out.clear();
-    for (ExprId Shadow :
-         Q->occurrencesOf(LabelId(View.LabelToShadow[L.index()]))) {
-      uint32_t C = View.ExprFromShadow[Shadow.index()];
+  Out.clear();
+  if (Q) {
+    for (ExprId X : Q->occurrencesOf(toEngine(L))) {
+      uint32_t C = isDelta() ? View.ExprFromShadow[X.index()] : X.index();
       if (C != ~0u)
         Out.push_back(ExprId(C));
     }
-    std::sort(Out.begin(), Out.end(),
-              [](ExprId A, ExprId B) { return A.index() < B.index(); });
-    return Status::ok();
-  }
-  if (Q) {
-    Out = Q->occurrencesOf(L);
+    if (isDelta()) // shadow order is not canonical order
+      std::sort(Out.begin(), Out.end(),
+                [](ExprId A, ExprId B) { return A.index() < B.index(); });
     return Status::ok();
   }
   // Degraded sweep: one table read per occurrence, polled coarsely.
-  Out.clear();
   for (uint32_t I = 0, E = CanonExprs; I != E; ++I) {
     if ((I & 1023u) == 0 && D.expired())
       return Status::deadlineExceeded("occurrence sweep exceeded deadline");
-    if (Hybrid->labelSet(ExprId(I)).contains(L.index()))
+    if (P->labelsOf(ExprId(I)).contains(L.index()))
       Out.push_back(ExprId(I));
   }
   return Status::ok();
@@ -182,7 +135,7 @@ Status Epoch::allLabels(const Deadline &D, std::vector<DenseBitset> &Out,
     // A delta epoch batches over shadow ids in canonical order, so the
     // result and `Done` slots line up with canonical ids as-is.
     for (uint32_t I = 0; I != E; ++I)
-      Es.push_back(View.Frozen ? ExprId(View.ExprToShadow[I]) : ExprId(I));
+      Es.push_back(toEngine(ExprId(I)));
     Status BS = Status::ok();
     if (D.isInfinite()) {
       Out = Q->labelsOfBatch(Es);
@@ -195,9 +148,9 @@ Status Epoch::allLabels(const Deadline &D, std::vector<DenseBitset> &Out,
       Done = std::move(Outcome.Done);
       BS = Outcome.S;
     }
-    if (View.Frozen)
+    if (isDelta())
       for (DenseBitset &Row : Out)
-        Row = translateRow(Row);
+        Row = fromEngine(std::move(Row));
     return BS;
   }
   Out.clear();
@@ -208,7 +161,7 @@ Status Epoch::allLabels(const Deadline &D, std::vector<DenseBitset> &Out,
       Out.resize(E);
       return Status::deadlineExceeded("all-labels sweep exceeded deadline");
     }
-    Out.push_back(Hybrid->labelSet(ExprId(I)));
+    Out.push_back(P->labelsOf(ExprId(I)));
     Done[I] = 1;
   }
   return Status::ok();
@@ -221,73 +174,45 @@ Status Epoch::lint(const std::vector<std::string> &Passes, const Deadline &D,
   LO.D = D;
   LO.Threads = Threads;
   std::lock_guard<std::mutex> Lock(Mu);
-  const Module *LM = M.get();
-  const FrozenGraph *LF = frozen();
-  if (View.Frozen) {
-    // A delta epoch serves lint over the spliced source through the lazy
-    // full pipeline, so the findings are bit-exact with a fresh full
-    // load of the same text (tests/serve_edit_test.cpp proves it).
-    if (Status S = sliceSubstrate(D, LM, LF); !S.isOk())
-      return S;
-  } else if (!LF || !LF->status().isOk()) {
-    return Status::failedPrecondition(
-        "lint requires the subtransitive engine; this epoch degraded to " +
-        std::string(engine()));
-  }
-  LintEngine Lint(*LM, *LF);
+  // A delta epoch serves lint over the spliced source through the lazy
+  // pipeline, so the findings are bit-exact with a fresh full load of the
+  // same text (tests/serve_test.cpp proves it).
+  const Pipeline *SP = nullptr;
+  if (Status S = substrate(D, "lint", SP); !S.isOk())
+    return S;
+  LintEngine Lint(*SP->module(), *SP->frozen());
   Out = Lint.run(LO);
   return Status::ok();
 }
 
-Status Epoch::ensureDeltaPipeline(const Deadline &D) {
-  if (DeltaM)
-    return Status::ok();
-  DiagnosticEngine Diags;
-  std::unique_ptr<Module> Mod = parseProgram(DeltaSource, Diags);
-  if (!Mod) {
-    std::string Rendered = Diags.render();
-    while (!Rendered.empty() && Rendered.back() == '\n')
-      Rendered.pop_back();
-    return Status::internal("delta source reparse failed: " + Rendered);
+Status Epoch::substrate(const Deadline &D, const char *Pass,
+                        const Pipeline *&Out) {
+  std::unique_ptr<Pipeline> Built;
+  if (isDelta() && !P) {
+    PipelineOptions O = DeltaOpts;
+    O.D = D;
+    Built = std::make_unique<Pipeline>(DeltaSource, O);
+    if (Built->status() == StatusCode::InvalidArgument)
+      return Status::internal("delta source reparse failed: " +
+                              Built->status().message());
+    if (!Built->status().isOk())
+      return Built->status(); // not kept: a longer deadline may succeed
   }
-  DiagnosticEngine InferDiags;
-  (void)inferTypes(*Mod, InferDiags); // untyped programs still analyze
-  HybridOptions HO;
-  HO.Threads = DeltaThreads;
-  HO.D = D;
-  auto H = std::make_unique<HybridCFA>(*Mod, HO);
-  if (Status S = H->solve(); !S.isOk())
-    return S; // not latched: a later request with a longer deadline retries
-  DeltaM = std::move(Mod);
-  DeltaHybrid = std::move(H);
-  return Status::ok();
-}
-
-Status Epoch::sliceSubstrate(const Deadline &D, const Module *&OutM,
-                             const FrozenGraph *&OutF) {
-  if (View.Frozen) {
-    if (Status S = ensureDeltaPipeline(D); !S.isOk())
-      return S;
-    const FrozenGraph *F = DeltaHybrid->frozen();
-    if (!F || !F->status().isOk())
-      return Status::failedPrecondition(
-          "this pass requires the subtransitive engine; the delta epoch's "
-          "full pipeline degraded to " +
-          std::string(engineName(DeltaHybrid->engine())));
-    // The lazy pipeline reparses the spliced source, so its module ids
-    // are exactly the canonical numbering clients already speak.
-    OutM = DeltaM.get();
-    OutF = F;
-    return Status::ok();
-  }
-  const FrozenGraph *F = frozen();
-  if (!F || !F->status().isOk())
+  const Pipeline &SP = Built ? *Built : *P;
+  const FrozenGraph *F = SP.frozen();
+  const bool Usable = F && F->status().isOk();
+  // The lazy pipeline reparses the spliced source, so its module ids are
+  // exactly the canonical numbering clients already speak.  A rung the
+  // program forced is kept; one the request's deadline forced is not.
+  if (Built && (Usable || !D.expired()))
+    P = std::move(Built);
+  if (!Usable)
     return Status::failedPrecondition(
-        "this pass requires the subtransitive engine; this epoch degraded "
-        "to " +
-        std::string(engine()));
-  OutM = M.get();
-  OutF = F;
+        std::string(isDelta() ? "this pass" : Pass) +
+        " requires the subtransitive engine; " +
+        (isDelta() ? "the delta epoch's full pipeline" : "this epoch") +
+        " degraded to " + SP.servedBy());
+  Out = &SP;
   return Status::ok();
 }
 
@@ -296,15 +221,14 @@ Status Epoch::dependenceGraph(const Deadline &D, const DependenceGraph *&Out) {
     Out = Deps.get();
     return Status::ok();
   }
-  const Module *SM = nullptr;
-  const FrozenGraph *SF = nullptr;
-  if (Status S = sliceSubstrate(D, SM, SF); !S.isOk())
+  const Pipeline *SP = nullptr;
+  if (Status S = substrate(D, "this pass", SP); !S.isOk())
     return S;
   DependenceGraph::Options DO;
   DO.D = D;
   Status BS = Status::ok();
   std::unique_ptr<DependenceGraph> DG =
-      DependenceGraph::build(*SM, *SF, BS, DO);
+      DependenceGraph::build(*SP->module(), *SP->frozen(), BS, DO);
   if (!DG)
     return BS; // governed abort or injected alloc failure; retryable
   Deps = std::move(DG);

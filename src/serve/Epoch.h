@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// An `Epoch` is one immutable loaded analysis: the parsed module plus
-/// either a live hybrid pipeline (cache miss — the degradation ladder
-/// decides which engine serves) or an mmap-backed snapshot with its
-/// query engine (cache hit — the crash-safe warm-restart path).  Epochs
+/// An `Epoch` is one immutable loaded analysis: a `Pipeline` that is
+/// either the live hybrid ladder (cache miss — the degradation ladder
+/// decides which engine serves) or an engine over an mmap-backed snapshot
+/// (cache hit — the crash-safe warm-restart path), or else the frozen
+/// view an incremental edit published (a delta epoch).  Epochs
 /// are reference-counted via `shared_ptr`: a `load` installs a new epoch
 /// while requests already dispatched keep answering against the one they
 /// resolved at accept time; the old mapping is unmapped when the last
@@ -24,13 +25,11 @@
 #ifndef STCFA_SERVE_EPOCH_H
 #define STCFA_SERVE_EPOCH_H
 
-#include "analysis/HybridCFA.h"
-#include "ast/Module.h"
 #include "core/QueryEngine.h"
 #include "delta/DeltaSession.h"
 #include "lint/LintEngine.h"
+#include "pipeline/Pipeline.h"
 #include "slice/Slicer.h"
-#include "snapshot/Snapshot.h"
 #include "support/Deadline.h"
 #include "support/Status.h"
 
@@ -46,25 +45,21 @@ namespace serve {
 /// apart from the engine's internal scratch (guarded by `Mu`).
 class Epoch {
 public:
-  /// Live-pipeline epoch: \p H has been solved (some rung served).
-  Epoch(uint64_t Id, std::unique_ptr<Module> M, std::unique_ptr<HybridCFA> H);
-
-  /// Mapped epoch: \p Snap passed validation and content-hash checks and
-  /// was frozen from a module with \p M's shape.  The persisted kernel
-  /// rows, when present, are adopted as the batch backend.
-  Epoch(uint64_t Id, std::unique_ptr<Module> M,
-        std::unique_ptr<LoadedSnapshot> Snap, unsigned Threads,
-        size_t KernelThreshold);
+  /// Pipeline epoch: \p P served some answer.  It is either the live
+  /// hybrid ladder (cache miss, edit fallback) or an engine over a mapped
+  /// snapshot with the module reparsed beside it (cache hit).
+  Epoch(uint64_t Id, std::unique_ptr<Pipeline> P);
 
   /// Delta epoch: published by an incremental `edit`.  The view's frozen
   /// snapshot uses the edit session's internal (shadow) numbering;
   /// queries translate between it and the canonical ids clients speak
   /// through the view's id maps.  \p Source is the session's current
   /// (spliced) source text: there is no module up front, but `lint` and
-  /// `slice` lazily run the full pipeline over it on first demand — the
-  /// answers are then bit-exact with a fresh full load of the same text.
-  Epoch(uint64_t Id, DeltaView V, std::string Source, unsigned Threads,
-        size_t KernelThreshold);
+  /// `slice` lazily run a `Pipeline` with the daemon's options \p O over
+  /// it on first demand — the answers are then bit-exact with a fresh full
+  /// load of the same text.
+  Epoch(uint64_t Id, DeltaView V, std::string Source,
+        const PipelineOptions &O);
 
   ~Epoch();
 
@@ -72,10 +67,10 @@ public:
   Epoch &operator=(const Epoch &) = delete;
 
   uint64_t id() const { return EpochId; }
-  const Module &module() const { return *M; }
 
-  /// The serving engine: "snapshot" for a mapped epoch, else the hybrid
-  /// ladder's rung ("subtransitive", "standard", "partial").
+  /// The serving engine: "delta" for a delta epoch, "snapshot" for a
+  /// mapped one, else the hybrid ladder's rung ("subtransitive",
+  /// "standard", "partial").
   const char *engine() const;
 
   /// The CSR snapshot behind the query engine; null when the ladder
@@ -107,7 +102,7 @@ public:
   /// Runs the checker passes.  Requires frozen tables: a degraded epoch
   /// returns `FailedPrecondition` (lint needs the subtransitive graph's
   /// ports, which the cubic and partial rungs never build).  On a delta
-  /// epoch the lazy full pipeline over the spliced source serves.
+  /// epoch the lazy pipeline over the spliced source serves.
   Status lint(const std::vector<std::string> &Passes, const Deadline &D,
               unsigned Threads, LintResult &Out);
 
@@ -121,48 +116,48 @@ public:
 
   /// Demand-driven slice from \p Target over the epoch's dependence
   /// graph (built lazily, cached for the epoch's lifetime).  Same
-  /// precondition as `lint`; delta epochs answer through the lazy full
+  /// precondition as `lint`; delta epochs answer through the lazy
   /// pipeline.  A governed abort mid-traversal returns Ok with
   /// `Out.Partial` set (slices are usable under-approximations).
   Status slice(ExprId Target, SliceDirection Dir, bool Witness,
                const Deadline &D, SliceReply &Out);
 
 private:
-  /// Translates a shadow-numbered label row into canonical numbering.
-  DenseBitset translateRow(const DenseBitset &ShadowRow) const;
+  bool isDelta() const { return View.Frozen != nullptr; }
 
-  /// Delta epochs only: parse -> infer -> hybrid-solve over the spliced
-  /// source on first demand (caller holds `Mu`).  A governed failure is
-  /// not latched — a later request with a longer deadline retries.
-  Status ensureDeltaPipeline(const Deadline &D);
+  /// Canonical ids to the serving engine's numbering (a delta view's
+  /// shadow ids; the identity on a pipeline epoch) and a label row back.
+  ExprId toEngine(ExprId E) const {
+    return isDelta() ? ExprId(View.ExprToShadow[E.index()]) : E;
+  }
+  LabelId toEngine(LabelId L) const {
+    return isDelta() ? LabelId(View.LabelToShadow[L.index()]) : L;
+  }
+  DenseBitset fromEngine(DenseBitset Row) const;
 
-  /// The (module, frozen graph) pair every slice-subsystem entry point
-  /// consumes, resolved per epoch flavour; null module or tables =>
-  /// `FailedPrecondition` explaining why.  Caller holds `Mu`.
-  Status sliceSubstrate(const Deadline &D, const Module *&OutM,
-                        const FrozenGraph *&OutF);
+  /// The pipeline lint and slice run over, with frozen tables; for a
+  /// delta epoch built on first demand (a run that failed or degraded
+  /// because \p D expired is not kept, so a later request with a longer
+  /// deadline retries).  `FailedPrecondition`, naming \p Pass, when the
+  /// tables are missing.  Caller holds `Mu`.
+  Status substrate(const Deadline &D, const char *Pass, const Pipeline *&Out);
 
   /// Builds (or returns the cached) dependence graph.  Caller holds `Mu`.
   Status dependenceGraph(const Deadline &D, const DependenceGraph *&Out);
 
   uint64_t EpochId;
-  std::unique_ptr<Module> M; ///< null for a delta epoch
-  // Live path (cache miss): the ladder owns graph/frozen/engine.
-  std::unique_ptr<HybridCFA> Hybrid;
-  // Mapped path (cache hit): the snapshot owns the tables, Q queries it.
-  std::unique_ptr<LoadedSnapshot> Snap;
-  std::unique_ptr<QueryEngine> MappedEngine;
-  // Delta path (edit): the view owns the self-contained frozen tables and the
-  // canonical<->shadow id maps.  `DeltaSource` feeds the lazy full
-  // pipeline (`DeltaM`/`DeltaHybrid`) that serves lint and slice.
+  /// A pipeline epoch's pipeline; a delta epoch's lazy lint/slice
+  /// substrate (null until first demand).
+  std::unique_ptr<Pipeline> P;
+  // Delta epoch: the view owns the self-contained frozen tables and the
+  // canonical<->shadow id maps; `DeltaSource` and `DeltaOpts` feed the
+  // lazy substrate pipeline.
   DeltaView View;
+  std::unique_ptr<QueryEngine> ViewEngine;
   std::string DeltaSource;
-  unsigned DeltaThreads = 1;
-  std::unique_ptr<Module> DeltaM;
-  std::unique_ptr<HybridCFA> DeltaHybrid;
+  PipelineOptions DeltaOpts;
 
-  // Slice subsystem (all flavours): dependence graph cached on first
-  // successful build.
+  // Slice subsystem: dependence graph cached on first successful build.
   std::unique_ptr<DependenceGraph> Deps;
 
   /// The engine serving point/batch queries, or null when degraded.

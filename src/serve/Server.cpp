@@ -6,10 +6,6 @@
 
 #include "serve/Server.h"
 
-#include "core/LabelSetKernel.h"
-#include "parser/Parser.h"
-#include "sema/Infer.h"
-#include "support/Diagnostics.h"
 #include "support/FaultInjection.h"
 #include "support/Metrics.h"
 #include "support/Timer.h"
@@ -22,12 +18,6 @@ using namespace stcfa;
 using namespace stcfa::serve;
 
 namespace {
-
-/// The daemon's snapshot-cache configuration string.  Loads always run
-/// the hybrid ladder, so daemon keys never collide with batch-mode keys
-/// (which only cache the subtransitive/poly analyses).
-constexpr const char *ServeCacheConfig =
-    "analysis=hybrid;congruence=bytype;policy=paper";
 
 void writeAll(int Fd, const char *Data, size_t Len) {
   while (Len != 0) {
@@ -354,109 +344,14 @@ void Server::handleLoad(const ServeRequest &Req) {
     return;
   }
   const std::string &Source = Src->asString();
-  Deadline D = requestDeadline(Req);
-
-  const size_t KernelThreshold =
-      Opts.KernelThreshold >= 0
-          ? static_cast<size_t>(Opts.KernelThreshold)
-          : QueryEngine::DefaultKernelThreshold;
-
-  // The parsed module is needed on every path: queries resolve the root
-  // occurrence through it and lint walks it even over a mapped snapshot.
-  DiagnosticEngine Diags;
-  std::unique_ptr<Module> M = parseProgram(Source, Diags);
-  if (!M) {
-    std::string Rendered = Diags.render();
-    while (!Rendered.empty() && Rendered.back() == '\n')
-      Rendered.pop_back();
-    replyError(Req.Id, Status::invalidArgument("parse failed: " + Rendered));
-    return;
-  }
-  DiagnosticEngine InferDiags;
-  (void)inferTypes(*M, InferDiags); // untyped programs still analyze
-
-  uint64_t CacheKey = 0;
-  std::string CachePath;
   const char *CacheOutcome = "off";
-  if (Opts.SnapshotCache) {
-    CacheKey = snapshotCacheKey(Source, ServeCacheConfig);
-    CachePath =
-        snapshotCachePath(snapshotCacheDir(Opts.SnapshotDir), CacheKey);
-    Status CacheStatus = Status::ok();
-    if (std::unique_ptr<LoadedSnapshot> Snap =
-            LoadedSnapshot::load(CachePath, CacheStatus)) {
-      if (Snap->contentHash() == CacheKey &&
-          Snap->frozen().numExprs() == M->numExprs()) {
-        counter("snapshot.cache-hits").inc();
-        touchSnapshotEntry(CachePath); // a hit refreshes the LRU order
-        auto E = std::make_shared<Epoch>(Epochs.allocateId(), std::move(M),
-                                         std::move(Snap), Opts.Threads,
-                                         KernelThreshold);
-        Epochs.install(E);
-        LoadedSource = Source;
-        Session.reset();
-        JsonValue Result = JsonValue::object();
-        Result.set("epoch", JsonValue::number(int64_t(E->id())));
-        Result.set("engine", JsonValue::string(E->engine()));
-        Result.set("cache", JsonValue::string("hit"));
-        Result.set("exprs", JsonValue::number(int64_t(E->numExprs())));
-        Result.set("labels", JsonValue::number(int64_t(E->numLabels())));
-        Result.set("nodes",
-                   JsonValue::number(int64_t(E->frozen()->numNodes())));
-        reply(renderOkReply(Req.Id, Result));
-        Millis.observe(static_cast<uint64_t>(T.millis()));
-        return;
-      }
-      Snap.reset(); // key collision: rebuild rather than serve wrong answers
-    }
-    counter("snapshot.cache-misses").inc();
-    CacheOutcome = "miss";
-  }
-
-  HybridOptions HO;
-  HO.Threads = Opts.Threads;
-  HO.D = D;
-  HO.Degrade = Opts.Degrade == "off"       ? DegradeMode::Off
-               : Opts.Degrade == "partial" ? DegradeMode::Partial
-                                           : DegradeMode::Standard;
-  HO.KernelThreshold = KernelThreshold;
-  auto Hybrid = std::make_unique<HybridCFA>(*M, HO);
-  if (Status S = Hybrid->solve(); !S.isOk()) {
+  std::shared_ptr<Epoch> E;
+  if (Status S = installEpoch(Source, requestDeadline(Req), true,
+                              CacheOutcome, E);
+      !S.isOk()) {
     replyError(Req.Id, S);
     return;
   }
-
-  // Write-through: persist the freshly frozen tables under the cache key
-  // so the *next* daemon process warms up with one mmap.  A failed fill
-  // never fails the load.
-  if (Opts.SnapshotCache && Hybrid->frozen() &&
-      Hybrid->frozen()->status().isOk()) {
-    Status WS = ensureSnapshotDir(snapshotCacheDir(Opts.SnapshotDir));
-    if (WS.isOk()) {
-      SnapshotWriteOptions WO;
-      WO.ContentHash = CacheKey;
-      std::unique_ptr<LabelSetKernel> Kern;
-      if (M->numLabels() != 0) {
-        Kern = std::make_unique<LabelSetKernel>(*Hybrid->frozen(),
-                                                Opts.Threads);
-        if (Kern->run().isOk())
-          WO.Kernel = Kern.get();
-        else
-          Kern.reset();
-      }
-      WS = writeSnapshot(CachePath, *Hybrid->frozen(), *M, WO);
-    }
-    if (!WS.isOk())
-      std::fprintf(stderr, "warning: snapshot cache fill failed: %s\n",
-                   WS.toString().c_str());
-    else if (Opts.SnapshotCacheMaxBytes != 0)
-      enforceSnapshotCacheBudget(snapshotCacheDir(Opts.SnapshotDir),
-                                 Opts.SnapshotCacheMaxBytes);
-  }
-
-  auto E = std::make_shared<Epoch>(Epochs.allocateId(), std::move(M),
-                                   std::move(Hybrid));
-  Epochs.install(E);
   LoadedSource = Source;
   Session.reset();
   JsonValue Result = JsonValue::object();
@@ -472,33 +367,59 @@ void Server::handleLoad(const ServeRequest &Req) {
   Millis.observe(static_cast<uint64_t>(T.millis()));
 }
 
-Status Server::installFullEpoch(const std::string &Source, const Deadline &D,
-                                std::shared_ptr<Epoch> &Out) {
-  DiagnosticEngine Diags;
-  std::unique_ptr<Module> M = parseProgram(Source, Diags);
-  if (!M) {
-    std::string Rendered = Diags.render();
-    while (!Rendered.empty() && Rendered.back() == '\n')
-      Rendered.pop_back();
-    return Status::invalidArgument("parse failed: " + Rendered);
-  }
-  DiagnosticEngine InferDiags;
-  (void)inferTypes(*M, InferDiags); // untyped programs still analyze
+PipelineOptions Server::pipelineOptions(const Deadline &D) const {
+  PipelineOptions PO;
+  PO.Analysis = AnalysisKind::Hybrid;
+  PO.Degrade = Opts.Degrade;
+  PO.Threads = Opts.Threads;
+  if (Opts.KernelThreshold >= 0)
+    PO.KernelThreshold = static_cast<size_t>(Opts.KernelThreshold);
+  PO.D = D;
+  return PO;
+}
 
-  HybridOptions HO;
-  HO.Threads = Opts.Threads;
-  HO.D = D;
-  HO.Degrade = Opts.Degrade == "off"       ? DegradeMode::Off
-               : Opts.Degrade == "partial" ? DegradeMode::Partial
-                                           : DegradeMode::Standard;
-  HO.KernelThreshold = Opts.KernelThreshold >= 0
-                           ? static_cast<size_t>(Opts.KernelThreshold)
-                           : QueryEngine::DefaultKernelThreshold;
-  auto Hybrid = std::make_unique<HybridCFA>(*M, HO);
-  if (Status S = Hybrid->solve(); !S.isOk())
-    return S;
-  Out = std::make_shared<Epoch>(Epochs.allocateId(), std::move(M),
-                                std::move(Hybrid));
+Status Server::installEpoch(const std::string &Source, const Deadline &D,
+                            bool UseCache, const char *&CacheOutcome,
+                            std::shared_ptr<Epoch> &Out) {
+  const PipelineOptions PO = pipelineOptions(D);
+  const std::string CacheDir = snapshotCacheDir(Opts.SnapshotDir);
+  uint64_t CacheKey = 0;
+  std::unique_ptr<Pipeline> P;
+  CacheOutcome = "off";
+  if (UseCache && Opts.SnapshotCache) {
+    // Loads always run the hybrid ladder, so daemon keys never collide
+    // with batch-mode keys (which only cache subtransitive/poly runs).
+    CacheKey = snapshotCacheKey(Source, snapshotConfig(PO));
+    // A hit still reparses: queries resolve the root occurrence through
+    // the module and lint walks it even over a mapped snapshot.
+    if (std::unique_ptr<LoadedSnapshot> Snap =
+            lookupSnapshotCache(CacheDir, CacheKey)) {
+      P = std::make_unique<Pipeline>(std::move(Snap), PO, Source);
+      if (!P->status().isOk())
+        P.reset(); // shape mismatch: rebuild rather than serve wrong answers
+    }
+    CacheOutcome = P ? "hit" : "miss";
+  }
+  if (!P) {
+    P = std::make_unique<Pipeline>(Source, PO);
+    const Status &S = P->status();
+    if (S == StatusCode::InvalidArgument)
+      return Status::invalidArgument("parse failed: " + S.message());
+    if (!S.isOk())
+      return S;
+    // Write-through: persist the freshly frozen tables under the cache
+    // key so the *next* daemon process warms up with one mmap.  A failed
+    // fill never fails the load.
+    const FrozenGraph *F = P->frozen();
+    if (UseCache && Opts.SnapshotCache && F && F->status().isOk())
+      if (Status WS = fillSnapshotCache(CacheDir, CacheKey, *F, *P->module(),
+                                        Opts.Threads,
+                                        Opts.SnapshotCacheMaxBytes);
+          !WS.isOk())
+        std::fprintf(stderr, "warning: snapshot cache fill failed: %s\n",
+                     WS.toString().c_str());
+  }
+  Out = std::make_shared<Epoch>(Epochs.allocateId(), std::move(P));
   Epochs.install(Out);
   return Status::ok();
 }
@@ -627,7 +548,9 @@ void Server::handleEdit(const ServeRequest &Req) {
     if (InstallRaced)
       counter("delta.fallback_full").inc();
     Mode = InstallRaced ? "install-race" : "full-pipeline";
-    if (Status S = installFullEpoch(Session->currentSource(), D, E);
+    const char *CacheOutcome = "off";
+    if (Status S = installEpoch(Session->currentSource(), D, false,
+                                CacheOutcome, E);
         !S.isOk()) {
       replyError(Req.Id, S);
       return;
@@ -638,13 +561,9 @@ void Server::handleEdit(const ServeRequest &Req) {
       replyError(Req.Id, S);
       return;
     }
-    const size_t KernelThreshold =
-        Opts.KernelThreshold >= 0
-            ? static_cast<size_t>(Opts.KernelThreshold)
-            : QueryEngine::DefaultKernelThreshold;
     E = std::make_shared<Epoch>(Epochs.allocateId(), std::move(View),
-                                Session->currentSource(), Opts.Threads,
-                                KernelThreshold);
+                                Session->currentSource(),
+                                pipelineOptions(Deadline::infinite()));
     Epochs.install(E);
     Mode = Res.M == ApplyResult::Mode::Metadata      ? "metadata"
            : Res.M == ApplyResult::Mode::FullRebuild ? "full-rebuild"

@@ -72,8 +72,9 @@ struct ServeOptions {
   std::string SnapshotDir;
   /// Cache size cap enforced after each fill (LRU by mtime); 0 = uncapped.
   uint64_t SnapshotCacheMaxBytes = 512u << 20;
-  /// Hybrid ladder mode for `load`: "off", "standard", or "partial".
-  std::string Degrade = "standard";
+  /// Hybrid ladder mode for `load`, the edit fallback and a delta
+  /// epoch's lint/slice pipeline.
+  DegradeMode Degrade = DegradeMode::Standard;
   bool Stats = false;
 };
 
@@ -139,12 +140,17 @@ private:
   void handleSlice(const ServeRequest &Req, const std::shared_ptr<Epoch> &E);
 
   //===--- plumbing -------------------------------------------------------//
-  /// Full parse -> infer -> hybrid-solve -> install over \p Source: the
-  /// edit path's fallback when the delta session cannot serve
-  /// incrementally.  Deliberately bypasses the snapshot cache — these
-  /// reloads are transient mid-edit states.
-  Status installFullEpoch(const std::string &Source, const Deadline &D,
-                          std::shared_ptr<Epoch> &Out);
+  /// The daemon's pipeline configuration under deadline \p D: the hybrid
+  /// ladder with the daemon's degrade mode, lanes and kernel threshold.
+  PipelineOptions pipelineOptions(const Deadline &D) const;
+  /// The one source -> epoch path, shared by `load` and the edit
+  /// fallback: with \p UseCache, a cache hit maps the snapshot (beside a
+  /// reparse) and a miss writes through; then installs the epoch.  The
+  /// edit fallback bypasses the cache — its reloads are transient
+  /// mid-edit states.  \p CacheOutcome becomes "off", "hit" or "miss".
+  Status installEpoch(const std::string &Source, const Deadline &D,
+                      bool UseCache, const char *&CacheOutcome,
+                      std::shared_ptr<Epoch> &Out);
   Deadline requestDeadline(const ServeRequest &Req) const;
   void reply(const std::string &Line);
   void replyError(const JsonValue &Id, const Status &S);

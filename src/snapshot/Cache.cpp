@@ -14,8 +14,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "snapshot/Snapshot.h"
+#include "core/LabelSetKernel.h"
 #include "support/Hashing.h"
 #include "support/Metrics.h"
+#include "support/Trace.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -133,4 +135,50 @@ void stcfa::touchSnapshotEntry(const std::string &Path) {
 #else
   ::utimensat(AT_FDCWD, Path.c_str(), nullptr, 0);
 #endif
+}
+
+std::unique_ptr<LoadedSnapshot> stcfa::lookupSnapshotCache(const std::string &Dir,
+                                                           uint64_t Key) {
+  std::string Path = snapshotCachePath(Dir, Key);
+  Status LoadStatus = Status::ok();
+  std::unique_ptr<LoadedSnapshot> Snap = LoadedSnapshot::load(Path, LoadStatus);
+  if (Snap && Snap->contentHash() == Key) {
+    counter("snapshot.cache-hits").inc();
+    touchSnapshotEntry(Path); // a hit refreshes the LRU order
+    traceInstant("snapshot.cache-hit");
+    return Snap;
+  }
+  counter("snapshot.cache-misses").inc();
+  traceInstant("snapshot.cache-miss");
+  return nullptr;
+}
+
+Status stcfa::writeSnapshotWithKernel(const std::string &Path,
+                                      const FrozenGraph &F, const Module &M,
+                                      uint64_t Key, unsigned Threads) {
+  SnapshotWriteOptions WO;
+  WO.ContentHash = Key;
+  std::unique_ptr<LabelSetKernel> Kern;
+  if (M.numLabels() != 0) {
+    Kern = std::make_unique<LabelSetKernel>(F, Threads);
+    if (Kern->run().isOk())
+      WO.Kernel = Kern.get();
+  }
+  return writeSnapshot(Path, F, M, WO);
+}
+
+Status stcfa::fillSnapshotCache(const std::string &Dir, uint64_t Key,
+                                const FrozenGraph &F, const Module &M,
+                                unsigned Threads, uint64_t MaxBytes,
+                                size_t *Evicted) {
+  Status S = ensureSnapshotDir(Dir);
+  if (S.isOk())
+    S = writeSnapshotWithKernel(snapshotCachePath(Dir, Key), F, M, Key,
+                                Threads);
+  size_t N = S.isOk() && MaxBytes != 0
+                 ? enforceSnapshotCacheBudget(Dir, MaxBytes)
+                 : 0;
+  if (Evicted)
+    *Evicted = N;
+  return S;
 }

@@ -192,6 +192,26 @@ size_t enforceSnapshotCacheBudget(const std::string &Dir, uint64_t MaxBytes);
 /// from the cache.
 void touchSnapshotEntry(const std::string &Path);
 
+/// The cache lookup: the entry for \p Key if it loads and carries that
+/// content hash (else null: a miss).  A hit refreshes the LRU order; the
+/// outcome counts in `snapshot.cache-{hits,misses}` and emits a
+/// `snapshot.cache-{hit,miss}` trace instant.
+std::unique_ptr<LoadedSnapshot> lookupSnapshotCache(const std::string &Dir,
+                                                    uint64_t Key);
+
+/// Writes \p F with its complete kernel rows (when \p M has labels and
+/// the kernel completes) to \p Path under content hash \p Key.
+Status writeSnapshotWithKernel(const std::string &Path, const FrozenGraph &F,
+                               const Module &M, uint64_t Key,
+                               unsigned Threads);
+
+/// The cache fill: creates \p Dir, writes the entry for \p Key, then
+/// evicts down to \p MaxBytes (0 = uncapped), counting into \p Evicted.
+Status fillSnapshotCache(const std::string &Dir, uint64_t Key,
+                         const FrozenGraph &F, const Module &M,
+                         unsigned Threads, uint64_t MaxBytes,
+                         size_t *Evicted = nullptr);
+
 } // namespace stcfa
 
 #endif // STCFA_SNAPSHOT_SNAPSHOT_H

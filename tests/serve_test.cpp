@@ -969,6 +969,41 @@ TEST(ServeEdit, DeltaEditInstallsNewEpochBitExact) {
   H.shutdown();
 }
 
+TEST(ServeEdit, DeltaLintPipelineUsesTheDaemonsDegradeMode) {
+  // The delta epoch's lazy lint pipeline runs with the daemon's own
+  // options.  A lint whose deadline has already expired stops the
+  // subtransitive rung; under --degrade=partial the ladder then serves
+  // the partial rung, which has no frozen tables, so lint reports
+  // failed-precondition naming it.  Under the default ladder the same
+  // request would fail with deadline-exceeded instead.
+  ServeOptions O;
+  O.Degrade = DegradeMode::Partial;
+  ServeHarness H{O};
+  H.send(loadRequest(1, kItems));
+  ASSERT_TRUE(ServeHarness::okOf(H.recv()));
+  H.send(editRequest(2, kReplaceF1Params));
+  JsonValue E = H.recv();
+  ASSERT_TRUE(ServeHarness::okOf(E)) << renderJson(E);
+  ASSERT_STREQ(
+      ServeHarness::resultOf(E)->field("engine")->asString().c_str(),
+      "delta");
+
+  H.send(R"({"id":3,"verb":"lint","params":{"deadline_ms":0}})");
+  JsonValue Late = H.recv();
+  EXPECT_EQ(ServeHarness::errorCodeOf(Late), "failed-precondition")
+      << renderJson(Late);
+  EXPECT_NE(renderJson(Late).find("degraded to partial"), std::string::npos)
+      << renderJson(Late);
+
+  // A rung the deadline forced is not kept: a lint with time to spare
+  // serves from the subtransitive rung.
+  H.send(R"({"id":4,"verb":"lint"})");
+  JsonValue Lint = H.recv();
+  ASSERT_TRUE(ServeHarness::okOf(Lint)) << renderJson(Lint);
+  EXPECT_EQ(servedFindings(Lint), Reference(kItemsEdited).lintFindings());
+  H.shutdown();
+}
+
 TEST(ServeEdit, EditDuringQueryBurstKeepsBoundEpochAnswers) {
   ServeOptions O;
   O.Threads = 2;
