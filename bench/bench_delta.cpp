@@ -17,6 +17,15 @@
 ///   * Table 2 — edit scripts touching 10% and 50% of the definitions,
 ///     amortized per edit, against the same full-load baseline.
 ///
+///   * Table 3 — the round trips an editor waits on after a keystroke:
+///     edit -> lint and edit -> slice through the daemon's delta epoch
+///     (apply + publish + the epoch's lint or backward root slice),
+///     against a full load that lints (hybrid pipeline + lint).  The
+///     committed `edit_round_trip_parent` rows are this table built
+///     against the revision before delta epochs served lint and slice
+///     from the edit's own view (merged in by hand, like the
+///     `frontend_parent` rows of BENCH_frontend.json).
+///
 /// Emits `BENCH_delta.json`.  `--delta-smoke` runs a correctness-only
 /// gate (every published view along an edit script must be bit-exact
 /// against a from-scratch rebuild) and exits non-zero on any mismatch.
@@ -29,6 +38,8 @@
 #include "core/QueryEngine.h"
 #include "delta/DeltaSession.h"
 #include "gen/Generators.h"
+#include "pipeline/Pipeline.h"
+#include "serve/Epoch.h"
 #include "support/TablePrinter.h"
 #include "testgen/ShapeGen.h"
 
@@ -37,6 +48,7 @@
 // weaker copy.
 #include "../tests/DeltaTestUtil.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <string_view>
@@ -167,6 +179,28 @@ double timedEdit(DeltaSession &Sess, const EditRequest &Req) {
   return T.millis();
 }
 
+/// The epoch the daemon's `edit` installs for \p Sess's current state.
+std::unique_ptr<serve::Epoch> deltaEpoch(DeltaSession &Sess) {
+  DeltaView V;
+  if (!Sess.freezeView(V).isOk())
+    std::abort();
+  return std::make_unique<serve::Epoch>(1, std::move(V), Sess.currentSource(),
+                                        1u,
+                                        QueryEngine::DefaultKernelThreshold);
+}
+
+/// Applies one edit that must stay on the incremental path.
+void mustApply(DeltaSession &Sess, const EditRequest &Req) {
+  ApplyResult Res;
+  if (!Sess.apply(Req, Res).isOk() || Res.NeedsFullPipeline)
+    std::abort();
+}
+
+double medianOf(std::vector<double> Xs) {
+  std::sort(Xs.begin(), Xs.end());
+  return Xs[Xs.size() / 2];
+}
+
 template <typename FnT> double bestMillis(int Reps, FnT Fn) {
   double Best = 0;
   for (int I = 0; I != Reps; ++I) {
@@ -239,10 +273,7 @@ void printPaperTables() {
       Timer T;
       for (size_t I = 0; I != K; ++I) {
         const std::string &Name = W.Targets[(I * Stride) % W.Targets.size()];
-        ApplyResult Res;
-        if (!Sess->apply(replaceEdit(Name, W.Text(Name, 0)), Res).isOk() ||
-            Res.NeedsFullPipeline)
-          std::abort();
+        mustApply(*Sess, replaceEdit(Name, W.Text(Name, 0)));
       }
       DeltaView V;
       if (!Sess->freezeView(V).isOk())
@@ -263,6 +294,56 @@ void printPaperTables() {
     }
   }
   std::printf("%s\n", T2.render().c_str());
+
+  std::printf("== editor round trips: edit -> lint, edit -> slice ==\n");
+  TablePrinter T3({"program", "edit+lint(ms)", "edit+slice(ms)",
+                   "load+lint(ms)"});
+  for (const Workload &W : Ws) {
+    PipelineOptions PO;
+    PO.Analysis = AnalysisKind::Hybrid;
+    constexpr int Reps = 9;
+    std::vector<double> Load, Lint, Slice;
+    for (int I = 0; I != Reps; ++I) {
+      Timer T;
+      Pipeline P(W.Source, PO);
+      LintEngine Engine(*P.module(), *P.frozen());
+      benchmark::DoNotOptimize(Engine.run().Reports.size());
+      Load.push_back(T.millis());
+    }
+    // Variants alternate so every rep edits the program for real; each
+    // round trip ends when the reply's payload is computed.
+    std::unique_ptr<DeltaSession> Sess = mustSession(W.Source);
+    const std::string &Mid = W.Targets[W.Targets.size() / 2];
+    for (int I = 0; I != 2 * Reps; ++I) {
+      Timer T;
+      mustApply(*Sess, replaceEdit(Mid, W.Text(Mid, I % 2)));
+      std::unique_ptr<serve::Epoch> E = deltaEpoch(*Sess);
+      if (I % 2 == 0) {
+        LintResult LR;
+        if (!E->lint({}, Deadline::infinite(), 1, LR).isOk())
+          std::abort();
+        Lint.push_back(T.millis());
+      } else {
+        serve::Epoch::SliceReply SR;
+        if (!E->slice(E->root(), SliceDirection::Backward, false,
+                      Deadline::infinite(), SR)
+                 .isOk())
+          std::abort();
+        Slice.push_back(T.millis());
+      }
+    }
+    const double LoadMs = medianOf(Load), LintMs = medianOf(Lint),
+                 SliceMs = medianOf(Slice);
+    T3.addRow({W.Name, TablePrinter::num(LintMs), TablePrinter::num(SliceMs),
+               TablePrinter::num(LoadMs)});
+    Report.record("edit_round_trip")
+        .add("program", std::string(W.Name))
+        .add("reps", uint64_t(Reps))
+        .add("edit_lint_ms", LintMs)
+        .add("edit_slice_ms", SliceMs)
+        .add("load_lint_ms", LoadMs);
+  }
+  std::printf("%s\n", T3.render().c_str());
   std::printf("acceptance (single edit >= 10x full load on deep:512 and "
               "cubic:200): %s\n",
               AcceptAll ? "PASS" : "FAIL");

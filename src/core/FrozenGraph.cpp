@@ -66,7 +66,7 @@ std::unique_ptr<FrozenGraph> FrozenGraph::fromTables(const Tables &T) {
   return F;
 }
 
-FrozenGraph::Tables FrozenGraph::tables() const {
+FrozenGraph::Tables FrozenGraph::tables(bool Condense) const {
   Tables T;
   T.NumNodes = NumNodes;
   T.NumExprs = NumExprs;
@@ -82,6 +82,8 @@ FrozenGraph::Tables FrozenGraph::tables() const {
   T.NodeOfVar = NodeOfVar;
   T.LabelRoots = LabelRoots;
   T.RanOf = RanOf;
+  if (!Condense)
+    return T;
   const Condensation &C = condensation();
   T.SccOf = C.map();
   T.NumSccs = C.numSccs();

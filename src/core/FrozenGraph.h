@@ -113,8 +113,10 @@ public:
   static std::unique_ptr<FrozenGraph> fromTables(const Tables &T);
 
   /// This snapshot's tables as spans (the snapshot writer's input).
-  /// Materialises the cached condensation if it has not been forced yet.
-  Tables tables() const;
+  /// Materialises the cached condensation if it has not been forced yet;
+  /// with \p Condense false, `SccOf` is left empty instead (a view built
+  /// from such tables condenses on its own first demand).
+  Tables tables(bool Condense = true) const;
 
   /// `Ok` for a usable snapshot; the failure reason for an inert one.
   const Status &status() const { return FreezeStatus; }

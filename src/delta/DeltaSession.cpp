@@ -253,6 +253,7 @@ void DeltaSession::destroyShadowState() {
   for (DefRecord *D : std::vector<DefRecord *>{&Body}) {
     D->Exprs.clear();
     D->Labels.clear();
+    D->Vars.clear();
     D->ExternalRefs.clear();
     D->BaseEdges.clear();
   }
@@ -262,6 +263,7 @@ void DeltaSession::destroyShadowState() {
     D.Spine = ExprId::invalid();
     D.Exprs.clear();
     D.Labels.clear();
+    D.Vars.clear();
     D.ExternalRefs.clear();
     D.BaseEdges.clear();
   }
@@ -273,6 +275,19 @@ FragmentEnv DeltaSession::envBefore(size_t DefIndex) const {
     Env.bind(const_cast<Module &>(*M).sym(Defs[I].Name), Defs[I].Binder);
   envBinds().add(DefIndex);
   return Env;
+}
+
+void DeltaSession::recordFragment(DefRecord &D, FragmentMark From) const {
+  D.Exprs.clear();
+  D.Labels.clear();
+  D.Vars.clear();
+  for (uint32_t E = From.Exprs; E != M->numExprs(); ++E)
+    D.Exprs.push_back(E);
+  for (uint32_t L = From.Labels; L != M->numLabels(); ++L)
+    D.Labels.push_back(L);
+  for (uint32_t V = From.Vars; V != M->numVars(); ++V)
+    if (VarId(V) != D.Binder)
+      D.Vars.push_back(V);
 }
 
 void DeltaSession::collectExternalRefs(const DefRecord &D, ExprId SubtreeRoot,
@@ -318,7 +333,7 @@ Status DeltaSession::initFromTexts() {
   FragmentEnv Env;
   for (size_t K = 0; K != Defs.size(); ++K) {
     DefRecord &D = Defs[K];
-    const uint32_t E0 = M->numExprs(), L0 = M->numLabels();
+    const FragmentMark From = mark();
     FragmentDef FD;
     if (!parseTopDefFragment(*M, D.Text, Env, Diags, FD))
       return Status::invalidArgument("definition '" + D.Name +
@@ -330,24 +345,18 @@ Status DeltaSession::initFromTexts() {
     D.Init = FD.Init;
     Env.bind(FD.Name, FD.Binder);
     envBinds().inc();
-    for (uint32_t E = E0; E != M->numExprs(); ++E)
-      D.Exprs.push_back(E);
-    for (uint32_t L = L0; L != M->numLabels(); ++L)
-      D.Labels.push_back(L);
+    recordFragment(D, From);
     collectExternalRefs(D, D.Init, D.ExternalRefs);
   }
   {
-    const uint32_t E0 = M->numExprs(), L0 = M->numLabels();
+    const FragmentMark From = mark();
     ExprId B = parseExprFragment(*M, Body.Text, Env, Diags);
     if (!B.isValid())
       return Status::invalidArgument("program body failed to parse: " +
                                      renderDiags(Diags));
     Body.Init = B;
     Body.Binder = VarId::invalid();
-    for (uint32_t E = E0; E != M->numExprs(); ++E)
-      Body.Exprs.push_back(E);
-    for (uint32_t L = L0; L != M->numLabels(); ++L)
-      Body.Labels.push_back(L);
+    recordFragment(Body, From);
     collectExternalRefs(Body, Body.Init, Body.ExternalRefs);
   }
   relinkSpine();
@@ -646,7 +655,7 @@ Status DeltaSession::applyTextOnly(const EditRequest &R, size_t Idx,
 Status DeltaSession::editReplace(const EditRequest &R, size_t Idx,
                                  ApplyResult &Res) {
   DefRecord &D = Defs[Idx];
-  const uint32_t E0 = M->numExprs(), L0 = M->numLabels();
+  const FragmentMark From = mark();
   DiagnosticEngine Diags;
   FragmentDef FD;
   if (!parseTopDefFragment(*M, R.Text, envBefore(Idx), Diags, FD, D.Binder))
@@ -664,12 +673,7 @@ Status DeltaSession::editReplace(const EditRequest &R, size_t Idx,
   std::vector<std::pair<NodeId, NodeId>> OldEdges = std::move(D.BaseEdges);
   D.BaseEdges.clear();
   D.Init = FD.Init;
-  D.Exprs.clear();
-  D.Labels.clear();
-  for (uint32_t E = E0; E != M->numExprs(); ++E)
-    D.Exprs.push_back(E);
-  for (uint32_t L = L0; L != M->numLabels(); ++L)
-    D.Labels.push_back(L);
+  recordFragment(D, From);
   collectExternalRefs(D, D.Init, D.ExternalRefs);
 
   if (faultFires(fault::DeltaDiffAlloc)) {
@@ -707,7 +711,7 @@ Status DeltaSession::editInsert(const EditRequest &R, ApplyResult &Res) {
                                      "' to insert before");
   }
 
-  const uint32_t E0 = M->numExprs(), L0 = M->numLabels();
+  const FragmentMark From = mark();
   DiagnosticEngine Diags;
   FragmentDef FD;
   if (!parseTopDefFragment(*M, R.Text, envBefore(P), Diags, FD))
@@ -720,10 +724,7 @@ Status DeltaSession::editInsert(const EditRequest &R, ApplyResult &Res) {
   D.IsRec = FD.IsRec;
   D.Binder = FD.Binder;
   D.Init = FD.Init;
-  for (uint32_t E = E0; E != M->numExprs(); ++E)
-    D.Exprs.push_back(E);
-  for (uint32_t L = L0; L != M->numLabels(); ++L)
-    D.Labels.push_back(L);
+  recordFragment(D, From);
   collectExternalRefs(D, D.Init, D.ExternalRefs);
 
   // Committed from here on.
@@ -798,7 +799,7 @@ Status DeltaSession::editDelete(size_t Idx, ApplyResult &Res) {
 }
 
 Status DeltaSession::editReplaceBody(const EditRequest &R, ApplyResult &Res) {
-  const uint32_t E0 = M->numExprs(), L0 = M->numLabels();
+  const FragmentMark From = mark();
   DiagnosticEngine Diags;
   ExprId NewBody =
       parseExprFragment(*M, R.Text, envBefore(Defs.size()), Diags);
@@ -811,12 +812,7 @@ Status DeltaSession::editReplaceBody(const EditRequest &R, ApplyResult &Res) {
   std::vector<std::pair<NodeId, NodeId>> OldEdges = std::move(Body.BaseEdges);
   Body.BaseEdges.clear();
   Body.Init = NewBody;
-  Body.Exprs.clear();
-  Body.Labels.clear();
-  for (uint32_t E = E0; E != M->numExprs(); ++E)
-    Body.Exprs.push_back(E);
-  for (uint32_t L = L0; L != M->numLabels(); ++L)
-    Body.Labels.push_back(L);
+  recordFragment(Body, From);
   collectExternalRefs(Body, Body.Init, Body.ExternalRefs);
 
   if (faultFires(fault::DeltaDiffAlloc)) {
@@ -1023,6 +1019,21 @@ Status DeltaSession::freezeView(DeltaView &Out) {
     Out.ExprToShadow.push_back(Defs[K].Spine.index());
   assert(Out.ExprToShadow.size() == Out.NumExprs && "expr map out of sync");
   assert(Out.LabelToShadow.size() == Out.NumLabels && "label map out of sync");
+
+  // Binders in fresh-parse creation order: a letrec binds its name before
+  // its initializer's binders, a plain let after them.
+  Out.VarToShadow.clear();
+  for (const DefRecord &D : Defs) {
+    if (D.IsRec)
+      Out.VarToShadow.push_back(D.Binder.index());
+    Out.VarToShadow.insert(Out.VarToShadow.end(), D.Vars.begin(),
+                           D.Vars.end());
+    if (!D.IsRec)
+      Out.VarToShadow.push_back(D.Binder.index());
+  }
+  Out.VarToShadow.insert(Out.VarToShadow.end(), Body.Vars.begin(),
+                         Body.Vars.end());
+  Out.NumVars = static_cast<uint32_t>(Out.VarToShadow.size());
 
   Out.ExprFromShadow.assign(M->numExprs(), ~0u);
   for (uint32_t C = 0; C != Out.NumExprs; ++C)

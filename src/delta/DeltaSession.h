@@ -97,11 +97,15 @@ struct DeltaView {
   /// Canonical program shape (what a fresh parse would report).
   uint32_t NumExprs = 0;
   uint32_t NumLabels = 0;
+  uint32_t NumVars = 0;
 
   /// Canonical -> shadow id maps; every canonical id maps to a live
-  /// shadow id (`size() == NumExprs` / `NumLabels`).
+  /// shadow id (`size() == NumExprs` / `NumLabels` / `NumVars`).  The
+  /// view carries its own var map because the session's module, which
+  /// the next edit mutates, is never read after `freezeView` returns.
   std::vector<uint32_t> ExprToShadow;
   std::vector<uint32_t> LabelToShadow;
+  std::vector<uint32_t> VarToShadow;
 
   /// Shadow -> canonical inverse maps, `~0u` for garbage shadow ids
   /// (subtrees orphaned by replace/delete edits).  Sized to the shadow
@@ -235,6 +239,9 @@ private:
     /// Shadow ids of the init subtree, in creation (= canonical) order.
     std::vector<uint32_t> Exprs;
     std::vector<uint32_t> Labels;
+    /// Shadow ids of the binders the init subtree creates, in creation
+    /// order; the definition's own `Binder` is not among them.
+    std::vector<uint32_t> Vars;
     /// Binders of *other* definitions this subtree references.
     std::vector<uint32_t> ExternalRefs;
     /// Journaled `addEdge` attempts owned by this definition.
@@ -246,6 +253,16 @@ private:
   void destroyShadowState();
   void relinkSpine();
   FragmentEnv envBefore(size_t DefIndex) const;
+  /// The module's id counters before a fragment parse.
+  struct FragmentMark {
+    uint32_t Exprs, Labels, Vars;
+  };
+  FragmentMark mark() const {
+    return {M->numExprs(), M->numLabels(), M->numVars()};
+  }
+  /// Refills \p D's subtree id lists with the ids created since \p From
+  /// (`D.Binder` must already be set).
+  void recordFragment(DefRecord &D, FragmentMark From) const;
   void collectExternalRefs(const DefRecord &D, ExprId SubtreeRoot,
                            std::vector<uint32_t> &Out) const;
 

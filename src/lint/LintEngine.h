@@ -97,6 +97,11 @@ public:
   /// The shared effects analysis (Section 8), same contract.
   const EffectsAnalysis &effects(Status &S) const;
 
+  /// Display names per label: "function 'f'" when the abstraction is the
+  /// initializer of a `let`/`letrec` binding of `f`, "anonymous function"
+  /// otherwise.  Built once, on first use.
+  const std::vector<std::string> &functionNames() const;
+
   /// The occurrence whose graph node is \p N, or invalid when \p N is a
   /// derived port/label/summary node.  Built once (node indices in the
   /// snapshot are canonical, so the map is exact).
@@ -108,11 +113,12 @@ private:
   Deadline D;
   CancellationToken Token;
 
-  mutable std::once_flag CalledOnceFlag, EffectsFlag, NodeMapFlag;
+  mutable std::once_flag CalledOnceFlag, EffectsFlag, NodeMapFlag, NamesFlag;
   mutable std::unique_ptr<CalledOnceAnalysis> CalledOnceA;
   mutable std::unique_ptr<EffectsAnalysis> EffectsA;
   mutable Status CalledOnceStatus, EffectsStatus;
   mutable std::vector<ExprId> NodeToExpr;
+  mutable std::vector<std::string> Names;
 };
 
 /// What one pass produced.

@@ -60,6 +60,26 @@ const EffectsAnalysis &LintContext::effects(Status &S) const {
   return *EffectsA;
 }
 
+const std::vector<std::string> &LintContext::functionNames() const {
+  std::call_once(NamesFlag, [this] {
+    Names.assign(M.numLabels(), "anonymous function");
+    auto nameLam = [&](ExprId Init, VarId V) {
+      if (const auto *Lam = dyn_cast<LamExpr>(M.expr(Init)))
+        Names[Lam->label().index()] =
+            "function '" + std::string(M.text(M.var(V).Name)) + "'";
+    };
+    for (uint32_t E = 0, End = M.numExprs(); E != End; ++E) {
+      const Expr *Ex = M.expr(ExprId(E));
+      if (const auto *Let = dyn_cast<LetExpr>(Ex))
+        nameLam(Let->init(), Let->var());
+      else if (const auto *Rec = dyn_cast<LetRecNExpr>(Ex))
+        for (const LetRecNExpr::Binding &B : Rec->bindings())
+          nameLam(B.Init, B.Var);
+    }
+  });
+  return Names;
+}
+
 ExprId LintContext::exprOfNode(uint32_t N) const {
   std::call_once(NodeMapFlag, [this] {
     NodeToExpr.assign(F.numNodes(), ExprId::invalid());
@@ -90,26 +110,6 @@ bool governedStop(const LintContext &Ctx, Status &S) {
   return false;
 }
 
-/// Display names for abstractions: the binder name when the lambda is the
-/// initializer of a `let`/`letrec` binding, "anonymous function" otherwise.
-std::vector<std::string> functionNames(const Module &M) {
-  std::vector<std::string> Names(M.numLabels(), "anonymous function");
-  auto nameLam = [&](ExprId Init, VarId V) {
-    if (const auto *Lam = dyn_cast<LamExpr>(M.expr(Init)))
-      Names[Lam->label().index()] =
-          "function '" + std::string(M.text(M.var(V).Name)) + "'";
-  };
-  for (uint32_t E = 0, End = M.numExprs(); E != End; ++E) {
-    const Expr *Ex = M.expr(ExprId(E));
-    if (const auto *Let = dyn_cast<LetExpr>(Ex))
-      nameLam(Let->init(), Let->var());
-    else if (const auto *Rec = dyn_cast<LetRecNExpr>(Ex))
-      for (const LetRecNExpr::Binding &B : Rec->bindings())
-        nameLam(B.Init, B.Var);
-  }
-  return Names;
-}
-
 SourceRange rangeOfExpr(const Module &M, ExprId E) {
   return E.isValid() ? M.expr(E)->range() : SourceRange{};
 }
@@ -127,7 +127,7 @@ Status passDeadFunction(const LintContext &Ctx,
   if (!S.isOk())
     return S;
   const Module &M = Ctx.module();
-  std::vector<std::string> Names = functionNames(M);
+  const std::vector<std::string> &Names = Ctx.functionNames();
   for (uint32_t L = 0, End = M.numLabels(); L != End; ++L) {
     if (CO.countOf(LabelId(L)) != CalledOnceAnalysis::CallCount::Never)
       continue;
@@ -230,6 +230,11 @@ Status passAppliedNonFunction(const LintContext &Ctx,
   // means L(n1) ⊇ L(n2), so values flow *against* the edges: a reverse
   // (predecessor-side) BFS from the producers marks every node whose
   // value set may contain one, carrying a witness producer for the note.
+  // Seeds enter in canonical expression order and every BFS level stays
+  // grouped by witness in that order, so a node's witness is the first
+  // of its nearest producers: a function of distances and canonical ids
+  // alone, never of node numbering (a delta view's substrate numbers its
+  // nodes differently from a fresh graph and must name the same one).
   const uint32_t None = FrozenGraph::None;
   std::vector<uint32_t> Witness(F.numNodes(), None);
   std::deque<uint32_t> Queue;
@@ -299,7 +304,7 @@ Status passCalledOnce(const LintContext &Ctx,
   if (!S.isOk())
     return S;
   const Module &M = Ctx.module();
-  std::vector<std::string> Names = functionNames(M);
+  const std::vector<std::string> &Names = Ctx.functionNames();
   for (uint32_t L = 0, End = M.numLabels(); L != End; ++L) {
     if (CO.countOf(LabelId(L)) != CalledOnceAnalysis::CallCount::Once)
       continue;
@@ -398,7 +403,7 @@ Status passEscapingFunction(const LintContext &Ctx,
   if (governedStop(Ctx, S))
     return S;
 
-  std::vector<std::string> Names = functionNames(M);
+  const std::vector<std::string> &Names = Ctx.functionNames();
   for (uint32_t L = 0, End = M.numLabels(); L != End; ++L) {
     auto [LamNode, Carrier] = F.labelRoots(LabelId(L));
     auto in = [&](const DenseBitset &B) {

@@ -7,6 +7,7 @@
 #include "serve/Epoch.h"
 
 #include "support/Metrics.h"
+#include "support/Trace.h"
 
 #include <algorithm>
 #include <cassert>
@@ -36,13 +37,12 @@ Epoch::Epoch(uint64_t Id, std::unique_ptr<Pipeline> Served)
   recordEpochDelta(+1);
 }
 
-Epoch::Epoch(uint64_t Id, DeltaView V, std::string Source,
-             const PipelineOptions &O)
-    : EpochId(Id), View(std::move(V)), DeltaSource(std::move(Source)),
-      DeltaOpts(O) {
+Epoch::Epoch(uint64_t Id, DeltaView V, std::string Source, unsigned Threads,
+             size_t KernelThreshold)
+    : EpochId(Id), View(std::move(V)), DeltaSource(std::move(Source)) {
   assert(View.Frozen && "delta epoch needs a frozen view");
-  ViewEngine = std::make_unique<QueryEngine>(*View.Frozen, O.Threads);
-  ViewEngine->setKernelThreshold(O.KernelThreshold);
+  ViewEngine = std::make_unique<QueryEngine>(*View.Frozen, Threads);
+  ViewEngine->setKernelThreshold(KernelThreshold);
   Q = ViewEngine.get();
   CanonExprs = View.NumExprs;
   CanonLabels = View.NumLabels;
@@ -174,45 +174,46 @@ Status Epoch::lint(const std::vector<std::string> &Passes, const Deadline &D,
   LO.D = D;
   LO.Threads = Threads;
   std::lock_guard<std::mutex> Lock(Mu);
-  // A delta epoch serves lint over the spliced source through the lazy
-  // pipeline, so the findings are bit-exact with a fresh full load of the
-  // same text (tests/serve_test.cpp proves it).
-  const Pipeline *SP = nullptr;
-  if (Status S = substrate(D, "lint", SP); !S.isOk())
+  const Module *M = nullptr;
+  const FrozenGraph *F = nullptr;
+  if (Status S = substrate("lint", M, F); !S.isOk())
     return S;
-  LintEngine Lint(*SP->module(), *SP->frozen());
+  LintEngine Lint(*M, *F);
   Out = Lint.run(LO);
+  countViewSubstrate();
   return Status::ok();
 }
 
-Status Epoch::substrate(const Deadline &D, const char *Pass,
-                        const Pipeline *&Out) {
-  std::unique_ptr<Pipeline> Built;
-  if (isDelta() && !P) {
-    PipelineOptions O = DeltaOpts;
-    O.D = D;
-    Built = std::make_unique<Pipeline>(DeltaSource, O);
-    if (Built->status() == StatusCode::InvalidArgument)
-      return Status::internal("delta source reparse failed: " +
-                              Built->status().message());
-    if (!Built->status().isOk())
-      return Built->status(); // not kept: a longer deadline may succeed
+void Epoch::countViewSubstrate() const {
+  static Counter &Served = counter("delta.view_substrates");
+  if (isDelta())
+    Served.inc();
+}
+
+Status Epoch::substrate(const char *Pass, const Module *&M,
+                        const FrozenGraph *&F) {
+  if (!isDelta()) {
+    F = P->frozen();
+    if (!F || !F->status().isOk())
+      return Status::failedPrecondition(
+          std::string(Pass) +
+          " requires the subtransitive engine; this epoch degraded to " +
+          P->servedBy());
+    M = P->module();
+    return Status::ok();
   }
-  const Pipeline &SP = Built ? *Built : *P;
-  const FrozenGraph *F = SP.frozen();
-  const bool Usable = F && F->status().isOk();
-  // The lazy pipeline reparses the spliced source, so its module ids are
-  // exactly the canonical numbering clients already speak.  A rung the
-  // program forced is kept; one the request's deadline forced is not.
-  if (Built && (Usable || !D.expired()))
-    P = std::move(Built);
-  if (!Usable)
-    return Status::failedPrecondition(
-        std::string(isDelta() ? "this pass" : Pass) +
-        " requires the subtransitive engine; " +
-        (isDelta() ? "the delta epoch's full pipeline" : "this epoch") +
-        " degraded to " + SP.servedBy());
-  Out = &SP;
+  if (!Sub) {
+    Span SubSpan("serve.delta_substrate");
+    Status BS = Status::ok();
+    Sub = DeltaSubstrate::build(View, DeltaSource, BS);
+    if (!Sub)
+      return BS;
+    SubSpan.arg("exprs", Sub->module().numExprs());
+    SubSpan.arg("nodes", Sub->frozen().numNodes());
+    SubSpan.arg("parse_us", static_cast<uint64_t>(Sub->parseMillis() * 1e3));
+  }
+  M = &Sub->module();
+  F = &Sub->frozen();
   return Status::ok();
 }
 
@@ -221,14 +222,14 @@ Status Epoch::dependenceGraph(const Deadline &D, const DependenceGraph *&Out) {
     Out = Deps.get();
     return Status::ok();
   }
-  const Pipeline *SP = nullptr;
-  if (Status S = substrate(D, "this pass", SP); !S.isOk())
+  const Module *M = nullptr;
+  const FrozenGraph *F = nullptr;
+  if (Status S = substrate("this pass", M, F); !S.isOk())
     return S;
   DependenceGraph::Options DO;
   DO.D = D;
   Status BS = Status::ok();
-  std::unique_ptr<DependenceGraph> DG =
-      DependenceGraph::build(*SP->module(), *SP->frozen(), BS, DO);
+  std::unique_ptr<DependenceGraph> DG = DependenceGraph::build(*M, *F, BS, DO);
   if (!DG)
     return BS; // governed abort or injected alloc failure; retryable
   Deps = std::move(DG);
@@ -261,6 +262,7 @@ Status Epoch::slice(ExprId Target, SliceDirection Dir, bool Witness,
         return WS;
       Out.Witnesses.push_back(Sl.renderWitness(Steps));
     }
+  countViewSubstrate();
   return Status::ok();
 }
 

@@ -9,7 +9,11 @@
 /// either the live hybrid ladder (cache miss — the degradation ladder
 /// decides which engine serves) or an engine over an mmap-backed snapshot
 /// (cache hit — the crash-safe warm-restart path), or else the frozen
-/// view an incremental edit published (a delta epoch).  Epochs
+/// view an incremental edit published (a delta epoch).  A delta epoch
+/// serves `lint` and `slice` from that same view, re-addressed in the
+/// canonical ids of one plain parse of the spliced text
+/// (`DeltaSubstrate`): an edit never re-infers or re-solves the program
+/// for its diagnostics.  Epochs
 /// are reference-counted via `shared_ptr`: a `load` installs a new epoch
 /// while requests already dispatched keep answering against the one they
 /// resolved at accept time; the old mapping is unmapped when the last
@@ -27,6 +31,7 @@
 
 #include "core/QueryEngine.h"
 #include "delta/DeltaSession.h"
+#include "delta/DeltaSubstrate.h"
 #include "lint/LintEngine.h"
 #include "pipeline/Pipeline.h"
 #include "slice/Slicer.h"
@@ -55,11 +60,12 @@ public:
   /// queries translate between it and the canonical ids clients speak
   /// through the view's id maps.  \p Source is the session's current
   /// (spliced) source text: there is no module up front, but `lint` and
-  /// `slice` lazily run a `Pipeline` with the daemon's options \p O over
-  /// it on first demand — the answers are then bit-exact with a fresh full
-  /// load of the same text.
-  Epoch(uint64_t Id, DeltaView V, std::string Source,
-        const PipelineOptions &O);
+  /// `slice` parse it on first demand and run over the view's own graph
+  /// in the parse's ids — the answers are bit-exact with a fresh full
+  /// load of the same text.  \p Threads and \p KernelThreshold configure
+  /// the view's query engine.
+  Epoch(uint64_t Id, DeltaView V, std::string Source, unsigned Threads,
+        size_t KernelThreshold);
 
   ~Epoch();
 
@@ -99,10 +105,12 @@ public:
   Status allLabels(const Deadline &D, std::vector<DenseBitset> &Out,
                    std::vector<char> &Done);
 
-  /// Runs the checker passes.  Requires frozen tables: a degraded epoch
-  /// returns `FailedPrecondition` (lint needs the subtransitive graph's
-  /// ports, which the cubic and partial rungs never build).  On a delta
-  /// epoch the lazy pipeline over the spliced source serves.
+  /// Runs the checker passes under \p D.  Requires frozen tables: a
+  /// degraded epoch returns `FailedPrecondition` (lint needs the
+  /// subtransitive graph's ports, which the cubic and partial rungs never
+  /// build).  On a delta epoch the view's substrate serves; a deadline
+  /// that expires mid-run marks the passes it stopped partial, exactly as
+  /// on a pipeline epoch.
   Status lint(const std::vector<std::string> &Passes, const Deadline &D,
               unsigned Threads, LintResult &Out);
 
@@ -116,9 +124,10 @@ public:
 
   /// Demand-driven slice from \p Target over the epoch's dependence
   /// graph (built lazily, cached for the epoch's lifetime).  Same
-  /// precondition as `lint`; delta epochs answer through the lazy
-  /// pipeline.  A governed abort mid-traversal returns Ok with
-  /// `Out.Partial` set (slices are usable under-approximations).
+  /// precondition as `lint`; delta epochs answer from the view's
+  /// substrate.  An expired deadline before the start refuses; a governed
+  /// abort mid-traversal returns Ok with `Out.Partial` set (slices are
+  /// usable under-approximations).
   Status slice(ExprId Target, SliceDirection Dir, bool Witness,
                const Deadline &D, SliceReply &Out);
 
@@ -135,27 +144,32 @@ private:
   }
   DenseBitset fromEngine(DenseBitset Row) const;
 
-  /// The pipeline lint and slice run over, with frozen tables; for a
-  /// delta epoch built on first demand (a run that failed or degraded
-  /// because \p D expired is not kept, so a later request with a longer
-  /// deadline retries).  `FailedPrecondition`, naming \p Pass, when the
-  /// tables are missing.  Caller holds `Mu`.
-  Status substrate(const Deadline &D, const char *Pass, const Pipeline *&Out);
+  /// The module and frozen tables lint and slice run over: a pipeline
+  /// epoch's own, or a delta epoch's `DeltaSubstrate`, built on first
+  /// demand and kept.  That build is a parse and a linear remap and is
+  /// not governed: the request's deadline governs the passes over it.
+  /// `FailedPrecondition`, naming \p Pass, when a pipeline epoch has no
+  /// frozen tables; `Internal` when a delta epoch's text and view
+  /// disagree.  Caller holds `Mu`.
+  Status substrate(const char *Pass, const Module *&M, const FrozenGraph *&F);
+
+  /// Counts a lint or slice answer a delta epoch's substrate served
+  /// (`delta.view_substrates`).
+  void countViewSubstrate() const;
 
   /// Builds (or returns the cached) dependence graph.  Caller holds `Mu`.
   Status dependenceGraph(const Deadline &D, const DependenceGraph *&Out);
 
   uint64_t EpochId;
-  /// A pipeline epoch's pipeline; a delta epoch's lazy lint/slice
-  /// substrate (null until first demand).
+  /// A pipeline epoch's pipeline; null on a delta epoch.
   std::unique_ptr<Pipeline> P;
   // Delta epoch: the view owns the self-contained frozen tables and the
-  // canonical<->shadow id maps; `DeltaSource` and `DeltaOpts` feed the
-  // lazy substrate pipeline.
+  // canonical<->shadow id maps; `DeltaSource` is parsed into the lint and
+  // slice substrate `Sub` (null until first demand).
   DeltaView View;
   std::unique_ptr<QueryEngine> ViewEngine;
   std::string DeltaSource;
-  PipelineOptions DeltaOpts;
+  std::unique_ptr<DeltaSubstrate> Sub;
 
   // Slice subsystem: dependence graph cached on first successful build.
   std::unique_ptr<DependenceGraph> Deps;

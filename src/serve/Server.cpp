@@ -561,9 +561,10 @@ void Server::handleEdit(const ServeRequest &Req) {
       replyError(Req.Id, S);
       return;
     }
+    const PipelineOptions PO = pipelineOptions(Deadline::infinite());
     E = std::make_shared<Epoch>(Epochs.allocateId(), std::move(View),
-                                Session->currentSource(),
-                                pipelineOptions(Deadline::infinite()));
+                                Session->currentSource(), PO.Threads,
+                                PO.KernelThreshold);
     Epochs.install(E);
     Mode = Res.M == ApplyResult::Mode::Metadata      ? "metadata"
            : Res.M == ApplyResult::Mode::FullRebuild ? "full-rebuild"

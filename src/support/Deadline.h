@@ -41,9 +41,16 @@ public:
   /// The default deadline never expires.
   Deadline() = default;
 
-  /// A deadline \p Ms milliseconds from now.
+  /// A deadline \p Ms milliseconds from now.  A budget that reaches past
+  /// the clock's range saturates to the infinite deadline instead of
+  /// overflowing into the past.
   static Deadline afterMillis(int64_t Ms) {
-    return Deadline(Clock::now() + std::chrono::milliseconds(Ms));
+    const Clock::time_point Now = Clock::now();
+    if (Ms > std::chrono::duration_cast<std::chrono::milliseconds>(
+                 Clock::time_point::max() - Now)
+                 .count())
+      return infinite();
+    return Deadline(Now + std::chrono::milliseconds(Ms));
   }
 
   /// The never-expiring deadline.

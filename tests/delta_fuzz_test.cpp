@@ -6,11 +6,15 @@
 ///
 /// \file
 /// The edit-sequence differential fuzzer proving the delta layer's
-/// exactness claim at scale: 120 seeded shape programs each take a
-/// 12-step random edit script (replace / insert / delete / replace-body
-/// / rename), and after *every* step the session's published view must
-/// be bit-identical to a from-scratch parse -> close -> freeze of the
-/// session's current source (`tests/DeltaTestUtil.h`).  Every ~5th step
+/// exactness claim at scale: 120 seeded shape programs and 30 seeded
+/// effectful programs (literals, tuples, reference cells, `print`, and
+/// operators that may be non-functions, so every lint pass has findings)
+/// each take a 12-step random edit script (replace / insert / delete /
+/// replace-body / rename), and after *every* step the session's published
+/// view — its label sets, and the lint results, slices and slice
+/// witnesses of its substrate — must be bit-identical to a from-scratch
+/// parse -> infer -> close -> freeze of the session's current source
+/// (`tests/DeltaTestUtil.h`).  Every ~5th step
 /// verifies through `labelsOfBatch` with the kernel threshold forced to
 /// zero, so under `STCFA_FORCE_SCALAR=1` (the ci.sh scalar lane) the
 /// kernel's forced-scalar twin is differentially tested too.
@@ -145,21 +149,81 @@ EditRequest randomEdit(Rng &R, const DeltaSession &Sess,
 
 constexpr int EditsPerProgram = 12;
 
-/// Runs one (program-seed, edit-seed) script: build the session from a
-/// seeded shape program, apply `EditsPerProgram` random edits, and
-/// differentially verify the published view after every step.
-void runScript(CondShape Shape, uint64_t ProgSeed) {
-  ShapeSpec Spec;
-  Spec.Shape = Shape;
-  Spec.N = 3 + static_cast<int>(ProgSeed % 6);
-  Spec.Seed = ProgSeed;
-  const std::string Program = makeShapeProgram(Spec);
+/// A seeded program whose definitions exercise every lint pass: literal
+/// and tuple values, reference cells holding functions, `print` in
+/// branch conditions and pure operands, and applications whose operator
+/// may be a literal reached through several producers (so the
+/// `applied-non-function` note has more than one candidate witness).
+/// Each definition references only earlier ones, and no definition is
+/// recursive, so the closure stays small even though the program is
+/// ill-typed on purpose.
+std::string makeEffectfulProgram(uint64_t Seed) {
+  Rng R(Seed ^ 0x5eedull);
+  const uint32_t N = 4 + R.below(6);
+  std::vector<std::string> Fns, Vals, Cells;
+  std::string P;
+  auto pick = [&](const std::vector<std::string> &From) {
+    return From[R.below(static_cast<uint32_t>(From.size()))];
+  };
+  static const char *Lits[] = {"1", "true", "\"s\"", "unit"};
+  for (uint32_t I = 0; I != N; ++I) {
+    const std::string Id = std::to_string(I);
+    switch (Fns.empty() ? 0 : R.below(7)) {
+    case 0:
+      P += "let v" + Id + " = fn x => x;\n";
+      Fns.push_back("v" + Id);
+      break;
+    case 1:
+      P += "let k" + Id + " = " + Lits[R.below(4)] + ";\n";
+      Vals.push_back("k" + Id);
+      break;
+    case 2:
+      P += "let t" + Id + " = (" + pick(Fns) + ", " + Lits[R.below(4)] +
+           ");\n";
+      Vals.push_back("t" + Id);
+      break;
+    case 3:
+      P += "let c" + Id + " = ref " + pick(Fns) + ";\n";
+      Cells.push_back("c" + Id);
+      break;
+    case 4:
+      // The operator is whatever the identity returns: every value
+      // passed to it anywhere may flow here.
+      P += "let e" + Id + " = fn x => (" + pick(Fns) + " " +
+           (Vals.empty() ? std::string(Lits[R.below(4)]) : pick(Vals)) +
+           ") x;\n";
+      Fns.push_back("e" + Id);
+      break;
+    case 5:
+      P += "let p" + Id + " = fn x => if print x then " + pick(Fns) +
+           " x else x + (print x);\n";
+      Fns.push_back("p" + Id);
+      break;
+    default:
+      if (Cells.empty()) {
+        P += "let v" + Id + " = fn x => x;\n";
+        Fns.push_back("v" + Id);
+      } else {
+        P += "let s" + Id + " = fn x => " + pick(Cells) + " := " + pick(Fns) +
+             ";\n";
+        Fns.push_back("s" + Id);
+      }
+      break;
+    }
+  }
+  return P + pick(Fns) + " (" + (Vals.empty() ? "0" : pick(Vals)) + ")";
+}
 
+/// Runs one (program-seed, edit-seed) script: build the session from
+/// \p Program, apply `EditsPerProgram` random edits, and differentially
+/// verify the published view after every step.
+void runScript(const std::string &Family, const std::string &Program,
+               uint64_t ProgSeed) {
   // Derive the edit seed from the program seed so the pair prints as a
   // reproducible triple but the two streams stay decorrelated.
   const uint64_t EditSeed = ProgSeed * 0x9e3779b97f4a7c15ull + 0xc0ffee;
-  const std::string TagBase = std::string(shapeName(Shape)) +
-                              " prog-seed=" + std::to_string(ProgSeed) +
+  const std::string TagBase = Family + " prog-seed=" +
+                              std::to_string(ProgSeed) +
                               " edit-seed=" + std::to_string(EditSeed);
 
   DeltaSession::Options O;
@@ -236,7 +300,15 @@ void runScript(CondShape Shape, uint64_t ProgSeed) {
   }
 }
 
-constexpr uint64_t SeedsPerShape = 30; // 4 shapes x 30 = 120 programs
+void runScript(CondShape Shape, uint64_t ProgSeed) {
+  ShapeSpec Spec;
+  Spec.Shape = Shape;
+  Spec.N = 3 + static_cast<int>(ProgSeed % 6);
+  Spec.Seed = ProgSeed;
+  runScript(shapeName(Shape), makeShapeProgram(Spec), ProgSeed);
+}
+
+constexpr uint64_t SeedsPerShape = 30; // 5 families x 30 = 150 programs
 
 TEST(DeltaFuzz, WideShapes) {
   for (uint64_t S = 1; S <= SeedsPerShape; ++S) {
@@ -265,6 +337,14 @@ TEST(DeltaFuzz, Diamonds) {
 TEST(DeltaFuzz, SkewedShapes) {
   for (uint64_t S = 1; S <= SeedsPerShape; ++S) {
     runScript(CondShape::Skewed, S);
+    if (::testing::Test::HasFailure())
+      return;
+  }
+}
+
+TEST(DeltaFuzz, EffectfulPrograms) {
+  for (uint64_t S = 1; S <= SeedsPerShape; ++S) {
+    runScript("effectful", makeEffectfulProgram(S), S);
     if (::testing::Test::HasFailure())
       return;
   }

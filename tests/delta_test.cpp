@@ -132,6 +132,30 @@ TEST(DeltaSession, ViewMapsAreConsistentInverses) {
   EXPECT_EQ(M->root().index(), V.NumExprs - 1);
 }
 
+TEST(DeltaSubstrate, RefusesTextOutOfStepWithTheView) {
+  auto Sess = makeSession("let f = fn x => x;\n"
+                          "letrec g = fn y => g (f y);\n"
+                          "let h = fn z => let w = z in w;\n"
+                          "g (h 0)");
+  ASSERT_TRUE(Sess);
+  DeltaView V;
+  ASSERT_TRUE(Sess->freezeView(V).isOk());
+  ASSERT_EQ(V.VarToShadow.size(), V.NumVars);
+  Status S = Status::ok();
+  std::unique_ptr<DeltaSubstrate> Sub =
+      DeltaSubstrate::build(V, Sess->currentSource(), S);
+  ASSERT_TRUE(Sub) << S.toString();
+  EXPECT_EQ(Sub->module().numVars(), V.NumVars);
+  EXPECT_EQ(Sub->frozen().numExprs(), V.NumExprs);
+  EXPECT_EQ(Sub->frozen().numLabels(), V.NumLabels);
+  // Text of another shape, or text that does not parse, is out of step
+  // with the view: an internal error, never a substrate.
+  for (const char *Other : {"let f = fn x => x;\nf 0", "let f = fn x =>;"}) {
+    EXPECT_EQ(DeltaSubstrate::build(V, Other, S), nullptr) << Other;
+    EXPECT_EQ(S.code(), StatusCode::Internal) << Other;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Replace
 //===----------------------------------------------------------------------===//

@@ -23,10 +23,13 @@
 #include "slice/Slicer.h"
 #include "support/FaultInjection.h"
 #include "support/Metrics.h"
+#include "support/Trace.h"
 
 #include "gtest/gtest.h"
 
 #include <cstdio>
+#include <iterator>
+#include <map>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -199,6 +202,24 @@ struct Reference {
     return Ids;
   }
 
+  /// One rendered witness chain per member of the same slice.
+  std::vector<std::string> sliceWitnesses(ExprId Target, SliceDirection Dir) {
+    Status BS;
+    auto DG = DependenceGraph::build(*M, *Hybrid->frozen(), BS);
+    EXPECT_NE(DG, nullptr) << BS.message();
+    Slicer Sl(*DG);
+    SliceOptions SO;
+    SO.Dir = Dir;
+    SliceResult R = Sl.sliceFrom(Target, SO);
+    std::vector<std::string> Out;
+    for (ExprId Member : R.Exprs) {
+      std::vector<WitnessStep> Steps;
+      EXPECT_TRUE(Sl.witnessFor(R, Member, Steps).isOk());
+      Out.push_back(Sl.renderWitness(Steps));
+    }
+    return Out;
+  }
+
   /// Lint findings over the same pipeline, flattened to the daemon's
   /// reply shape: `pass|severity|line|col|message` strings in order.
   std::vector<std::string> lintFindings() {
@@ -229,6 +250,17 @@ std::vector<std::string> servedFindings(const JsonValue &Reply) {
                   std::to_string(F.field("line")->asInt()) + "|" +
                   std::to_string(F.field("col")->asInt()) + "|" +
                   F.field("message")->asString());
+  return Out;
+}
+
+/// Collects the served slice reply's rendered witnesses.
+std::vector<std::string> servedWitnesses(const JsonValue &Reply) {
+  std::vector<std::string> Out;
+  const JsonValue *Result = ServeHarness::resultOf(Reply);
+  if (!Result || !Result->field("witnesses"))
+    return Out;
+  for (const JsonValue &W : Result->field("witnesses")->items())
+    Out.push_back(W.asString());
   return Out;
 }
 
@@ -408,6 +440,22 @@ TEST(Serve, DeadlineZeroYieldsDeadlineExceeded) {
   // The session survives and answers the next request.
   H.send(R"({"id":3,"verb":"query"})");
   EXPECT_TRUE(ServeHarness::okOf(H.recv()));
+  H.shutdown();
+}
+
+TEST(Serve, HugeDeadlineAnswersInsteadOfOverflowing) {
+  // INT64_MAX milliseconds is past the clock's range: the deadline
+  // saturates to "never", so the request answers instead of being
+  // refused as already expired.
+  ServeHarness H{ServeOptions{}};
+  H.send(loadRequest(1, kProgram));
+  EXPECT_TRUE(ServeHarness::okOf(H.recv()));
+  H.send(R"({"id":2,"verb":"query","params":{"kind":"labels",)"
+         R"("deadline_ms":9223372036854775807}})");
+  JsonValue R = H.recv();
+  EXPECT_TRUE(ServeHarness::okOf(R)) << renderJson(R);
+  EXPECT_EQ(labelIdsOf(R),
+            Reference(kProgram).labelsOf(Reference(kProgram).M->root()));
   H.shutdown();
 }
 
@@ -969,16 +1017,13 @@ TEST(ServeEdit, DeltaEditInstallsNewEpochBitExact) {
   H.shutdown();
 }
 
-TEST(ServeEdit, DeltaLintPipelineUsesTheDaemonsDegradeMode) {
-  // The delta epoch's lazy lint pipeline runs with the daemon's own
-  // options.  A lint whose deadline has already expired stops the
-  // subtransitive rung; under --degrade=partial the ladder then serves
-  // the partial rung, which has no frozen tables, so lint reports
-  // failed-precondition naming it.  Under the default ladder the same
-  // request would fail with deadline-exceeded instead.
-  ServeOptions O;
-  O.Degrade = DegradeMode::Partial;
-  ServeHarness H{O};
+TEST(ServeEdit, DeltaLintUnderExpiredDeadlineIsPartialOrRefused) {
+  // A delta epoch serves lint from the edit's own frozen view, and the
+  // request's deadline governs the passes over it.  An already expired
+  // deadline never yields a full-looking answer: the reply refuses, or
+  // it is marked partial.  Nothing the expired request did is kept in a
+  // way that degrades later answers: a lint with time to spare is exact.
+  ServeHarness H{ServeOptions{}};
   H.send(loadRequest(1, kItems));
   ASSERT_TRUE(ServeHarness::okOf(H.recv()));
   H.send(editRequest(2, kReplaceF1Params));
@@ -990,17 +1035,160 @@ TEST(ServeEdit, DeltaLintPipelineUsesTheDaemonsDegradeMode) {
 
   H.send(R"({"id":3,"verb":"lint","params":{"deadline_ms":0}})");
   JsonValue Late = H.recv();
-  EXPECT_EQ(ServeHarness::errorCodeOf(Late), "failed-precondition")
-      << renderJson(Late);
-  EXPECT_NE(renderJson(Late).find("degraded to partial"), std::string::npos)
-      << renderJson(Late);
+  if (ServeHarness::okOf(Late)) {
+    EXPECT_TRUE(ServeHarness::resultOf(Late)->field("partial")->asBool())
+        << renderJson(Late);
+  } else {
+    EXPECT_EQ(ServeHarness::errorCodeOf(Late), "deadline-exceeded")
+        << renderJson(Late);
+  }
+  H.send(R"({"id":4,"verb":"slice","params":{"deadline_ms":0}})");
+  EXPECT_EQ(ServeHarness::errorCodeOf(H.recv()), "deadline-exceeded");
 
-  // A rung the deadline forced is not kept: a lint with time to spare
-  // serves from the subtransitive rung.
-  H.send(R"({"id":4,"verb":"lint"})");
+  H.send(R"({"id":5,"verb":"lint"})");
   JsonValue Lint = H.recv();
   ASSERT_TRUE(ServeHarness::okOf(Lint)) << renderJson(Lint);
+  EXPECT_FALSE(ServeHarness::resultOf(Lint)->field("partial")->asBool());
   EXPECT_EQ(servedFindings(Lint), Reference(kItemsEdited).lintFindings());
+  H.shutdown();
+}
+
+TEST(ServeEdit, EditSequenceLintAndSliceMatchAFreshLoad) {
+  // Several edits on one session; after each, lint and slice (members
+  // and witnesses) answer from the delta epoch exactly as a fresh load of
+  // the spliced text does.  The rename changes only names, so the lint
+  // messages must come from the new text, not the session's old module.
+  struct Step {
+    const char *Params;
+    const char *Source; ///< the spliced program after the edit
+  };
+  const Step Steps[] = {
+      {kReplaceF1Params, kItemsEdited},
+      {R"({"op":"insert","before":"f2","text":"let g = fn z => f0 (z);"})",
+       "let f0 = fn x => x;\n"
+       "let f1 = fn x => f0 (f0 (x));\n"
+       "let g = fn z => f0 (z);\n"
+       "let f2 = fn x => f1 (x);\n"
+       "f2 (fn y => y)"},
+      {R"J({"op":"replace-body","text":"f2 (g (fn y => y))"})J",
+       "let f0 = fn x => x;\n"
+       "let f1 = fn x => f0 (f0 (x));\n"
+       "let g = fn z => f0 (z);\n"
+       "let f2 = fn x => f1 (x);\n"
+       "f2 (g (fn y => y))"},
+      {R"({"op":"rename","name":"f0","new_name":"h0"})",
+       "let h0 = fn x => x;\n"
+       "let f1 = fn x => h0 (h0 (x));\n"
+       "let g = fn z => h0 (z);\n"
+       "let f2 = fn x => f1 (x);\n"
+       "f2 (g (fn y => y))"},
+      {R"({"op":"replace","name":"g","text":"let g = fn z => f1 (h0 z);"})",
+       "let h0 = fn x => x;\n"
+       "let f1 = fn x => h0 (h0 (x));\n"
+       "let g = fn z => f1 (h0 z);\n"
+       "let f2 = fn x => f1 (x);\n"
+       "f2 (g (fn y => y))"},
+  };
+  ServeHarness H{ServeOptions{}};
+  H.send(loadRequest(1, kItems));
+  ASSERT_TRUE(ServeHarness::okOf(H.recv()));
+  const uint64_t ServedBefore = counter("delta.view_substrates").value();
+  int Id = 2;
+  for (const Step &S : Steps) {
+    SCOPED_TRACE(S.Params);
+    H.send(editRequest(Id++, S.Params));
+    JsonValue E = H.recv();
+    ASSERT_TRUE(ServeHarness::okOf(E)) << renderJson(E);
+    ASSERT_STREQ(
+        ServeHarness::resultOf(E)->field("engine")->asString().c_str(),
+        "delta");
+    Reference Ref(S.Source);
+
+    H.send(R"({"id":)" + std::to_string(Id++) + R"(,"verb":"lint"})");
+    JsonValue Lint = H.recv();
+    ASSERT_TRUE(ServeHarness::okOf(Lint)) << renderJson(Lint);
+    EXPECT_EQ(servedFindings(Lint), Ref.lintFindings());
+
+    H.send(R"({"id":)" + std::to_string(Id++) +
+           R"(,"verb":"slice","params":{"dir":"back","witness":true}})");
+    JsonValue Back = H.recv();
+    ASSERT_TRUE(ServeHarness::okOf(Back)) << renderJson(Back);
+    EXPECT_EQ(servedSliceExprs(Back),
+              Ref.sliceExprs(Ref.M->root(), SliceDirection::Backward));
+    EXPECT_EQ(servedWitnesses(Back),
+              Ref.sliceWitnesses(Ref.M->root(), SliceDirection::Backward));
+
+    H.send(R"({"id":)" + std::to_string(Id++) +
+           R"(,"verb":"slice","params":{"expr":1,"dir":"fwd","witness":true}})");
+    JsonValue Fwd = H.recv();
+    ASSERT_TRUE(ServeHarness::okOf(Fwd)) << renderJson(Fwd);
+    EXPECT_EQ(servedSliceExprs(Fwd),
+              Ref.sliceExprs(ExprId(1), SliceDirection::Forward));
+    EXPECT_EQ(servedWitnesses(Fwd),
+              Ref.sliceWitnesses(ExprId(1), SliceDirection::Forward));
+  }
+  // Every lint and slice above was served by a view substrate.
+  EXPECT_EQ(counter("delta.view_substrates").value(),
+            ServedBefore + 3 * std::size(Steps));
+  H.shutdown();
+}
+
+TEST(ServeEdit, DeltaLintTraceShowsNoResolve) {
+  if (!tracingCompiledIn())
+    GTEST_SKIP() << "tracing compiled out";
+  // The edit re-closes its dirty cone (a `close` inside `delta.apply`);
+  // the lint that follows parses the spliced text once and re-solves
+  // nothing: no inference, no build, no close of its own.  The first edit
+  // builds the session (a full close) and stays outside the trace.
+  ServeHarness H{ServeOptions{}};
+  H.send(loadRequest(1, kItems));
+  ASSERT_TRUE(ServeHarness::okOf(H.recv()));
+  H.send(editRequest(2, kReplaceF1Params));
+  ASSERT_TRUE(ServeHarness::okOf(H.recv()));
+  clearTraceEvents();
+  setTracingEnabled(true);
+  H.send(editRequest(
+      3, R"({"op":"replace","name":"f2","text":"let f2 = fn x => f1 (f0 x);"})"));
+  JsonValue E = H.recv();
+  H.send(R"({"id":4,"verb":"lint"})");
+  JsonValue Lint = H.recv();
+  setTracingEnabled(false);
+  ASSERT_TRUE(ServeHarness::okOf(E)) << renderJson(E);
+  ASSERT_TRUE(ServeHarness::okOf(Lint)) << renderJson(Lint);
+
+  std::vector<TraceEventView> Evs = snapshotTraceEvents();
+  std::map<uint64_t, const TraceEventView *> BySeq;
+  for (const TraceEventView &Ev : Evs)
+    BySeq[Ev.Seq] = &Ev;
+  int Substrates = 0, LintRuns = 0;
+  for (const TraceEventView &Ev : Evs) {
+    EXPECT_NE(Ev.Name, "infer");
+    EXPECT_NE(Ev.Name, "build");
+    EXPECT_NE(Ev.Name, "hybrid.solve");
+    if (Ev.Name == "close") {
+      auto Parent = BySeq.find(Ev.Parent);
+      ASSERT_NE(Parent, BySeq.end()) << "close outside any span";
+      EXPECT_EQ(Parent->second->Name, "delta.apply");
+    }
+    if (Ev.Name == "lint.run")
+      ++LintRuns;
+    if (Ev.Name == "serve.delta_substrate") {
+      ++Substrates;
+      for (const auto &[K, V] : Ev.Args) {
+        if (K == "exprs") {
+          EXPECT_EQ(V, Reference("let f0 = fn x => x;\n"
+                                 "let f1 = fn x => f0 (f0 (x));\n"
+                                 "let f2 = fn x => f1 (f0 x);\n"
+                                 "f2 (fn y => y)")
+                           .M->numExprs());
+        } else if (K == "nodes") {
+          EXPECT_GT(V, 0u);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(Substrates, 1);
+  EXPECT_EQ(LintRuns, 1);
   H.shutdown();
 }
 

@@ -311,6 +311,21 @@ TEST(Deadline, GenerousBudgetIsNotYetExpired) {
   EXPECT_GT(D.remainingMillis(), 0);
 }
 
+TEST(Deadline, BudgetPastTheClockRangeSaturatesToInfinite) {
+  // INT64_MAX milliseconds overflows the nanosecond steady clock; the
+  // deadline must saturate, never wrap into the past.
+  for (int64_t Ms : {INT64_MAX, INT64_MAX / 2, int64_t(9300000000000)}) {
+    Deadline D = Deadline::afterMillis(Ms);
+    EXPECT_TRUE(D.isInfinite()) << Ms;
+    EXPECT_FALSE(D.expired()) << Ms;
+  }
+  // A large budget still inside the clock's range stays finite.
+  Deadline Year = Deadline::afterMillis(int64_t(365) * 24 * 3600 * 1000);
+  EXPECT_FALSE(Year.isInfinite());
+  EXPECT_FALSE(Year.expired());
+  EXPECT_GT(Year.remainingMillis(), int64_t(364) * 24 * 3600 * 1000);
+}
+
 TEST(CancellationToken, DefaultIsUnarmedAndNeverCancelled) {
   CancellationToken T;
   EXPECT_FALSE(T.armed());
