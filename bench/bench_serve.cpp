@@ -14,6 +14,16 @@
 ///     a sweep of `labels` queries at rotating expressions, plus single
 ///     `all-labels` and `lint` round trips.
 ///
+///   * Table 2 — the editor's edit -> lint round trip on deep:1024 with
+///     four lanes: median and p90 of `edit` + `lint` over 60 rounds (one
+///     request in flight), and the PIDs the kernel handed out per round,
+///     read from the last-pid field of /proc/loadavg — every thread or
+///     process started in the PID namespace, so a daemon that spawns no
+///     thread on the request path reads ~0.  The committed
+///     `edit_lint_round_trip_parent` rows are this table built against
+///     the revision before the shared lane pool and streamed replies
+///     (merged in by hand, like BENCH_delta.json's parent rows).
+///
 /// Emits `BENCH_serve.json` so CI can diff tail latencies across
 /// revisions.
 ///
@@ -25,6 +35,7 @@
 #include "serve/Json.h"
 #include "serve/Server.h"
 #include "support/TablePrinter.h"
+#include "testgen/ShapeGen.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -127,6 +138,19 @@ uint32_t checkReply(const std::string &Reply) {
   return Exprs && Exprs->isInt() ? static_cast<uint32_t>(Exprs->asInt()) : 0;
 }
 
+/// The last PID the kernel allocated in this PID namespace (the fifth
+/// field of /proc/loadavg); 0 when unreadable.
+uint64_t lastPid() {
+  std::FILE *F = std::fopen("/proc/loadavg", "r");
+  if (!F)
+    return 0;
+  unsigned long long Pid = 0;
+  if (std::fscanf(F, "%*s %*s %*s %*s %llu", &Pid) != 1)
+    Pid = 0;
+  std::fclose(F);
+  return Pid;
+}
+
 double percentile(std::vector<double> Sorted, double P) {
   if (Sorted.empty())
     return 0;
@@ -207,6 +231,57 @@ void printPaperTables() {
   }
 
   std::printf("%s\n", Table.render().c_str());
+
+  std::printf("== Editor round trip: edit -> lint (deep:1024, 4 lanes) ==\n");
+  TablePrinter Rounds({"prog", "threads", "rounds", "p50(ms)", "p90(ms)",
+                       "pids/round"});
+  ShapeSpec Spec;
+  if (!parseShapeSpec("deep:1024", Spec))
+    std::abort();
+  serve::ServeOptions Opts;
+  Opts.Threads = 4;
+  ServeDaemon D(Opts);
+  int Id = 0;
+  checkReply(D.roundTrip(loadLine(++Id, makeShapeProgram(Spec))));
+  // Definition f<K> is rewritten to call an earlier f<J>; variants
+  // alternate so every round edits for real.  Two warm-up rounds build
+  // the edit session and fault in the lanes outside the sample.
+  constexpr int kWarm = 2, kRounds = 60;
+  std::vector<double> Millis;
+  uint64_t PidsBefore = 0;
+  for (int R = 0; R != kWarm + kRounds; ++R) {
+    if (R == kWarm)
+      PidsBefore = lastPid();
+    const int K = 1 + (R * 389) % 1023, J = (R * 131) % K;
+    serve::JsonValue P = serve::JsonValue::object();
+    P.set("op", serve::JsonValue::string("replace"));
+    P.set("name", serve::JsonValue::string("f" + std::to_string(K)));
+    P.set("text", serve::JsonValue::string(
+                      "let f" + std::to_string(K) + " = fn x => f" +
+                      std::to_string(J) + (R % 2 ? " (f0 x);" : " x;")));
+    std::string Edit = requestLine(++Id, "edit", std::move(P));
+    std::string Lint = requestLine(++Id, "lint", serve::JsonValue::object());
+    Timer T;
+    checkReply(D.roundTrip(Edit));
+    checkReply(D.roundTrip(Lint));
+    if (R >= kWarm)
+      Millis.push_back(T.millis());
+  }
+  const double PidsPerRound =
+      static_cast<double>(lastPid() - PidsBefore) / kRounds;
+  std::sort(Millis.begin(), Millis.end());
+  const double P50 = percentile(Millis, 50), P90 = percentile(Millis, 90);
+  Rounds.addRow({"deep:1024", "4", TablePrinter::num(uint64_t(kRounds)),
+                 TablePrinter::num(P50), TablePrinter::num(P90),
+                 TablePrinter::num(PidsPerRound)});
+  Report.record("edit_lint_round_trip")
+      .add("prog", std::string("deep:1024"))
+      .add("threads", uint64_t(4))
+      .add("rounds", uint64_t(kRounds))
+      .add("p50_ms", P50)
+      .add("p90_ms", P90)
+      .add("pids_per_round", PidsPerRound);
+  std::printf("%s\n", Rounds.render().c_str());
 }
 
 void BM_ServeLabelsRoundTrip(benchmark::State &State) {

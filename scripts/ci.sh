@@ -114,12 +114,14 @@ if [[ "${FAST}" == 0 ]]; then
   # serve-smoke rides along under ASan/UBSan so the daemon's line reader,
   # fault fallbacks, and epoch teardown get leak/overflow coverage; the
   # unit tier already includes the in-process serve tests, which is what
-  # gives TSan its epoch-swap coverage.  lint-smoke and query-smoke do the
+  # gives TSan its epoch-swap coverage.  TSan also runs serve-smoke: the
+  # real binary's request workers share one process-wide lane pool.
+  # lint-smoke and query-smoke do the
   # same for the CLI: the all-labels, lint-JSON and snapshot paths exit
   # through the module's arena teardown under LeakSanitizer.
   run_preset build-asan "-DSTCFA_SANITIZE=address,undefined" \
     -L 'unit|fuzz|serve-smoke|slice-smoke|lint-smoke|query-smoke'
-  run_preset build-tsan "-DSTCFA_SANITIZE=thread" -L unit
+  run_preset build-tsan "-DSTCFA_SANITIZE=thread" -L 'unit|serve-smoke'
   ./build-tsan/tests/stcfa_fuzz_tests \
     --gtest_filter='*DifferentialFuzzShapes*' --gtest_brief=1
 fi

@@ -23,13 +23,8 @@ LabelSetKernel::LabelSetKernel(const FrozenGraph &F, ThreadPool *Pool,
       RunStatus(Status::failedPrecondition("run() not called")) {}
 
 LabelSetKernel::LabelSetKernel(const FrozenGraph &F, unsigned Threads)
-    : F(F), Pool(nullptr), Threads(Threads ? Threads : 1),
-      RunStatus(Status::failedPrecondition("run() not called")) {
-  if (this->Threads > 1) {
-    OwnedPool = std::make_unique<ThreadPool>(this->Threads);
-    Pool = OwnedPool.get();
-  }
-}
+    : LabelSetKernel(F, Threads > 1 ? &ThreadPool::shared(Threads) : nullptr,
+                     Threads) {}
 
 LabelSetKernel::LabelSetKernel(const FrozenGraph &F,
                                std::span<const uint64_t> Rows,
@@ -364,7 +359,7 @@ Status LabelSetKernel::run(const Controls &C) {
       struct alignas(64) LaneOrs {
         uint64_t V = 0;
       };
-      std::vector<LaneOrs> Lane(Threads);
+      std::vector<LaneOrs> Lane(Pool->size());
       Pool->parallelFor(End - Begin, [&](unsigned L, size_t I) {
         closeComponent(LevelComps[Begin + I], Lane[L].V);
       });

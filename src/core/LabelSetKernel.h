@@ -92,11 +92,11 @@ public:
   };
 
   /// Uses \p Pool (may be null: sequential) with \p Threads logical
-  /// lanes.  The pool is borrowed — `QueryEngine` shares its own.
+  /// lanes.  The pool is borrowed and must outlive the kernel.
   LabelSetKernel(const FrozenGraph &F, ThreadPool *Pool, unsigned Threads);
 
-  /// Standalone construction: owns a pool of \p Threads lanes (none
-  /// spawned when \p Threads <= 1).
+  /// Standalone construction: borrows `ThreadPool::shared(Threads)`
+  /// (sequential when \p Threads <= 1).
   explicit LabelSetKernel(const FrozenGraph &F, unsigned Threads = 1);
 
   /// Adopts a complete, precomputed row matrix (a persisted snapshot's
@@ -230,8 +230,7 @@ private:
   void closeComponent(uint32_t Scc, uint64_t &WordOrs);
 
   const FrozenGraph &F;
-  ThreadPool *Pool; // borrowed or owned via OwnedPool; null = sequential
-  std::unique_ptr<ThreadPool> OwnedPool;
+  ThreadPool *Pool; // borrowed; null = sequential
   unsigned Threads;
 
   Status RunStatus;

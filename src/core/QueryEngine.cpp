@@ -17,12 +17,12 @@
 using namespace stcfa;
 
 QueryEngine::QueryEngine(const FrozenGraph &F, unsigned Threads)
-    : F(F), NumThreads(Threads ? Threads : 1) {
+    : F(F), NumThreads(Threads ? Threads : 1),
+      Pool(NumThreads > 1 ? &ThreadPool::shared(NumThreads) : nullptr) {
+  // Point queries run on lane 0; the other lanes' stamps wait for the
+  // first batch that walks the graph (`forEachShard`).
   Lanes.resize(NumThreads);
-  for (Scratch &S : Lanes)
-    S.Stamp.assign(F.numNodes(), 0);
-  if (NumThreads > 1)
-    Pool = std::make_unique<ThreadPool>(NumThreads);
+  Lanes[0].Stamp.assign(F.numNodes(), 0);
 }
 
 QueryEngine::~QueryEngine() = default;
@@ -33,7 +33,7 @@ void QueryEngine::adoptKernel(std::unique_ptr<LabelSetKernel> K) {
 
 LabelSetKernel &QueryEngine::kernelRef() {
   if (!Kern) {
-    Kern = std::make_unique<LabelSetKernel>(F, Pool.get(), NumThreads);
+    Kern = std::make_unique<LabelSetKernel>(F, Pool, NumThreads);
     Kern->setChunkRows(KernelChunkRows);
   }
   return *Kern;
@@ -241,6 +241,19 @@ inline Shard shardOf(size_t N, size_t NumShards, size_t Index) {
 
 } // namespace
 
+template <typename ShardFn>
+void QueryEngine::forEachShard(bool UsesScratch, ShardFn Shard) {
+  if (!Pool) {
+    Shard(0, 0);
+    return;
+  }
+  if (UsesScratch)
+    for (Scratch &S : Lanes)
+      if (S.Stamp.size() != F.numNodes())
+        S.Stamp.assign(F.numNodes(), 0);
+  Pool->parallelFor(NumThreads, Shard);
+}
+
 std::vector<DenseBitset>
 QueryEngine::labelsOfBatch(const std::vector<ExprId> &Es) {
   Span BatchSpan("query.batch.labels");
@@ -262,10 +275,7 @@ QueryEngine::labelsOfBatch(const std::vector<ExprId> &Es) {
       for (size_t I = Sh.Begin; I != Sh.End; ++I)
         Out[I] = K.labelsOf(Es[I]);
     };
-    if (Pool)
-      Pool->parallelFor(NumThreads, CopyShard);
-    else
-      CopyShard(0, 0);
+    forEachShard(false, CopyShard);
     return Out;
   }
 
@@ -285,10 +295,7 @@ QueryEngine::labelsOfBatch(const std::vector<ExprId> &Es) {
                                           : labelsFromNode(S, Start);
     }
   };
-  if (Pool)
-    Pool->parallelFor(NumThreads, RunShard);
-  else
-    RunShard(0, 0);
+  forEachShard(true, RunShard);
   return Out;
 }
 
@@ -318,10 +325,7 @@ QueryEngine::isLabelInBatch(const std::vector<std::pair<ExprId, LabelId>> &Qs) {
                   : labelReachableFrom(S, Start, Qs[I].second.index()));
     }
   };
-  if (Pool)
-    Pool->parallelFor(NumThreads, RunShard);
-  else
-    RunShard(0, 0);
+  forEachShard(true, RunShard);
   return Out;
 }
 
@@ -345,10 +349,7 @@ QueryEngine::occurrencesOfBatch(const std::vector<LabelId> &Ls) {
       for (size_t I = Sh.Begin; I != Sh.End; ++I)
         occurrencesFromKernel(K, Ls[I], Out[I]);
     };
-    if (Pool)
-      Pool->parallelFor(NumThreads, ProbeShard);
-    else
-      ProbeShard(0, 0);
+    forEachShard(false, ProbeShard);
     return Out;
   }
 
@@ -364,10 +365,7 @@ QueryEngine::occurrencesOfBatch(const std::vector<LabelId> &Ls) {
     for (size_t I = Sh.Begin; I != Sh.End; ++I)
       markOccurrences(S, Ls[I], Out[I]);
   };
-  if (Pool)
-    Pool->parallelFor(NumThreads, RunShard);
-  else
-    RunShard(0, 0);
+  forEachShard(true, RunShard);
   return Out;
 }
 
@@ -415,10 +413,7 @@ std::vector<DenseBitset> QueryEngine::allLabelSets(bool UseScc) {
     for (size_t I = Sh.Begin; I != Sh.End; ++I)
       PerNode[Distinct[I]] = labelsFromNode(S, Distinct[I]);
   };
-  if (Pool)
-    Pool->parallelFor(NumThreads, RunShard);
-  else
-    RunShard(0, 0);
+  forEachShard(true, RunShard);
   for (uint32_t I = 0, E = F.numExprs(); I != E; ++I) {
     uint32_t N = F.nodeOfExpr(ExprId(I));
     if (N != FrozenGraph::None)
@@ -466,10 +461,7 @@ void QueryEngine::runGoverned(size_t N, const BatchControl &C,
       Completed.fetch_add(1, std::memory_order_relaxed);
     }
   };
-  if (Pool)
-    Pool->parallelFor(NumThreads, RunShard);
-  else
-    RunShard(0, 0);
+  forEachShard(true, RunShard);
   Out.Completed = Completed.load();
   static Counter &Items = counter("query.batch.items_completed");
   static Counter &Aborts = counter("query.batch.aborts");

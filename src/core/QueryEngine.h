@@ -8,7 +8,8 @@
 /// The serving-path query engine: answers the Section 2 query problems
 /// over a `FrozenGraph` CSR snapshot, bit-for-bit equal to the reference
 /// BFS over the mutable graph but without pointer chasing,
-/// and with batched entry points sharded across a fixed `ThreadPool`.
+/// and with batched entry points sharded across the process's shared
+/// `ThreadPool` of the engine's width.
 ///
 /// Concurrency model: the CSR snapshot is read-only, so workers need no
 /// locks — each worker lane owns a private epoch-stamped visit vector
@@ -59,8 +60,9 @@ struct BatchOutcome {
 /// Parallel batched reachability queries over a frozen graph.
 class QueryEngine {
 public:
-  /// \p Threads is the worker-lane count (1 = fully sequential, no
-  /// threads spawned).
+  /// \p Threads is the worker-lane count (1 = fully sequential).  More
+  /// than one lane borrows `ThreadPool::shared(Threads)`; the engine
+  /// never starts threads of its own.
   explicit QueryEngine(const FrozenGraph &F, unsigned Threads = 1);
   ~QueryEngine();
 
@@ -197,6 +199,10 @@ private:
                       const CancellationToken &Token = CancellationToken());
   void occurrencesFromKernel(const LabelSetKernel &K, LabelId L,
                              std::vector<ExprId> &Out);
+  /// Runs `Shard(Lane, Index)` once per lane index on the pool (inline
+  /// when sequential).  \p UsesScratch first sizes every lane's stamps.
+  template <typename ShardFn>
+  void forEachShard(bool UsesScratch, ShardFn Shard);
   /// Shards \p N items across the lanes, invoking `Item(Scratch&, I)`
   /// per item with a governor poll before each one.
   template <typename ItemFn>
@@ -210,8 +216,8 @@ private:
 
   const FrozenGraph &F;
   unsigned NumThreads;
-  std::unique_ptr<ThreadPool> Pool; // null when NumThreads == 1
-  std::vector<Scratch> Lanes;       // one per worker lane
+  ThreadPool *Pool;           // borrowed; null when NumThreads == 1
+  std::vector<Scratch> Lanes; // one per worker lane; see forEachShard
   size_t KernelThreshold = DefaultKernelThreshold;
   uint32_t KernelChunkRows = LabelSetKernel::DefaultChunkRows;
   std::unique_ptr<LabelSetKernel> Kern; // built on first eligible batch

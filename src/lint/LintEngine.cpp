@@ -49,10 +49,7 @@ LintResult LintEngine::run(const LintOptions &Opts) {
     return Result;
 
   LintContext Ctx(M, F, Opts.D, Opts.Token);
-  unsigned Width = Opts.Threads ? Opts.Threads : 1;
-  if (Width > Selected.size())
-    Width = static_cast<unsigned>(Selected.size());
-  ThreadPool Pool(Width);
+  ThreadPool &Pool = ThreadPool::shared(Opts.Threads);
   Pool.parallelFor(Selected.size(), [&](unsigned, size_t I) {
     const LintPassInfo *Info = Selected[I];
     Span PassSpan(Info->SpanName);

@@ -25,12 +25,12 @@
 ///   escaping-function    note     closure flowing into the program result
 ///                                 or a mutable reference cell
 ///
-/// The engine fans passes out on a `ThreadPool` (each pass writes its own
-/// report slot), shares the expensive wrapped analyses between passes
-/// through a `LintContext` (built once under `std::call_once`), and runs
-/// under the resource governor: every pass polls the shared
-/// `Deadline`/`CancellationToken` and reports a per-pass `Status` plus a
-/// `Partial` flag instead of aborting the run.  Spans and counters follow
+/// The engine fans passes out on the shared `ThreadPool` of its width
+/// (each pass writes its own report slot), shares the expensive wrapped
+/// analyses between passes through a `LintContext` (built once under
+/// `std::call_once`), and runs under the resource governor: every pass
+/// polls the shared `Deadline`/`CancellationToken` and reports a
+/// per-pass `Status` plus a `Partial` flag instead of aborting the run.  Spans and counters follow
 /// docs/OBSERVABILITY.md (`lint.run`, `lint.pass.<id>`,
 /// `lint.findings`, `lint.pass_millis`).
 ///
@@ -139,7 +139,7 @@ struct LintOptions {
   std::vector<std::string> Passes;
   Deadline D;
   CancellationToken Token;
-  /// Fan-out width; passes beyond this queue on the pool.
+  /// Fan-out width: the passes share `ThreadPool::shared(Threads)`.
   unsigned Threads = 1;
 };
 

@@ -242,9 +242,11 @@ Status Epoch::slice(ExprId Target, SliceDirection Dir, bool Witness,
   if (D.expired())
     return Status::deadlineExceeded("slice deadline expired before start");
   std::lock_guard<std::mutex> Lock(Mu);
+  const bool Cached = Deps != nullptr;
   const DependenceGraph *DG = nullptr;
   if (Status S = dependenceGraph(D, DG); !S.isOk())
     return S;
+  Out.GraphBuildMs = Cached ? 0 : DG->buildMillis();
   SliceOptions SO;
   SO.Dir = Dir;
   SO.D = D;

@@ -22,7 +22,7 @@
 /// Query entry points serialize on an internal mutex — `QueryEngine` is
 /// explicitly not re-entrant from multiple external threads, and the
 /// daemon's worker pool is exactly such a caller.  Batched work still
-/// shards across the engine's own lanes under the lock.
+/// shards across the process's shared lane pool under the lock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -120,6 +120,9 @@ public:
     std::vector<ExprId> Members;
     std::vector<std::string> Witnesses; ///< parallel to Members, or empty
     bool Partial = false;
+    /// Time this answer spent building the epoch's dependence graph
+    /// (`DependenceGraph::buildMillis`); 0 when it was already cached.
+    double GraphBuildMs = 0;
   };
 
   /// Demand-driven slice from \p Target over the epoch's dependence

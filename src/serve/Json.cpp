@@ -308,9 +308,22 @@ private:
   size_t Pos = 0;
 };
 
-void renderString(std::string_view S, std::string &Out) {
+} // namespace
+
+Status stcfa::serve::parseJson(std::string_view Text, JsonValue &Out,
+                               const JsonLimits &Limits) {
+  return Parser(Text, Limits).run(Out);
+}
+
+void JsonWriter::appendString(std::string_view S) {
   Out += '"';
-  for (unsigned char C : S) {
+  size_t Run = 0; // start of the pending run of bytes copied verbatim
+  for (size_t I = 0, E = S.size(); I != E; ++I) {
+    const unsigned char C = static_cast<unsigned char>(S[I]);
+    if (C >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(S.data() + Run, I - Run);
+    Run = I + 1;
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -333,77 +346,51 @@ void renderString(std::string_view S, std::string &Out) {
     case '\t':
       Out += "\\t";
       break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += static_cast<char>(C);
-      }
+    default: {
+      static const char Hex[] = "0123456789abcdef";
+      const char Esc[] = {'\\', 'u', '0', '0', Hex[C >> 4], Hex[C & 15]};
+      Out.append(Esc, sizeof(Esc));
+    }
     }
   }
+  Out.append(S.data() + Run, S.size() - Run);
   Out += '"';
 }
 
-} // namespace
-
-Status stcfa::serve::parseJson(std::string_view Text, JsonValue &Out,
-                               const JsonLimits &Limits) {
-  return Parser(Text, Limits).run(Out);
+JsonWriter &JsonWriter::number(double D) {
+  separate();
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "%.17g", D);
+  Out += Buf;
+  return *this;
 }
 
-void stcfa::serve::renderJson(const JsonValue &V, std::string &Out) {
+JsonWriter &JsonWriter::value(const JsonValue &V) {
   switch (V.kind()) {
   case JsonValue::Kind::Null:
-    Out += "null";
-    return;
+    return null();
   case JsonValue::Kind::Bool:
-    Out += V.asBool() ? "true" : "false";
-    return;
+    return boolean(V.asBool());
   case JsonValue::Kind::Number:
-    if (V.isInt()) {
-      Out += std::to_string(V.asInt());
-    } else {
-      char Buf[32];
-      std::snprintf(Buf, sizeof(Buf), "%.17g", V.asDouble());
-      Out += Buf;
-    }
-    return;
+    return V.isInt() ? number(V.asInt()) : number(V.asDouble());
   case JsonValue::Kind::String:
-    renderString(V.asString(), Out);
-    return;
-  case JsonValue::Kind::Array: {
-    Out += '[';
-    bool First = true;
-    for (const JsonValue &E : V.items()) {
-      if (!First)
-        Out += ',';
-      First = false;
-      renderJson(E, Out);
-    }
-    Out += ']';
-    return;
+    return string(V.asString());
+  case JsonValue::Kind::Array:
+    beginArray();
+    for (const JsonValue &E : V.items())
+      value(E);
+    return endArray();
+  case JsonValue::Kind::Object:
+    beginObject();
+    for (const auto &[Key, Val] : V.members())
+      key(Key).value(Val);
+    return endObject();
   }
-  case JsonValue::Kind::Object: {
-    Out += '{';
-    bool First = true;
-    for (const auto &[Key, Val] : V.members()) {
-      if (!First)
-        Out += ',';
-      First = false;
-      renderString(Key, Out);
-      Out += ':';
-      renderJson(Val, Out);
-    }
-    Out += '}';
-    return;
-  }
-  }
+  return *this;
 }
 
 std::string stcfa::serve::renderJson(const JsonValue &V) {
   std::string Out;
-  renderJson(V, Out);
+  JsonWriter(Out).value(V);
   return Out;
 }

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A minimal JSON value, parser, and serializer for the daemon protocol
+/// A minimal JSON value, parser, and writer for the daemon protocol
 /// (docs/SERVE.md).  The parser is hardened for hostile stdin: bounded
 /// nesting depth, strict syntax (no trailing garbage, no raw control
 /// bytes inside strings — embedded NULs are rejected, not truncated),
@@ -25,6 +25,8 @@
 
 #include "support/Status.h"
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -138,11 +140,84 @@ struct JsonLimits {
 Status parseJson(std::string_view Text, JsonValue &Out,
                  const JsonLimits &Limits = {});
 
-/// Serializes \p V on one line (no newline appended).  Strings are
-/// escaped so the output never contains raw control bytes — replies stay
-/// newline-delimited whatever the payload holds.
+/// Append-only JSON writer: renders straight into a string the caller
+/// owns, with no value tree in between.  Commas go in automatically;
+/// the caller balances `begin*`/`end*` and writes a `key` before each
+/// object member.  Strings are escaped in runs — only `"`, `\` and
+/// bytes below 0x20 are rewritten — so the output never contains raw
+/// control bytes and replies stay newline-delimited whatever the payload
+/// holds.  `renderJson` is this writer run over a parsed value, so a
+/// streamed document and the tree rendering of its parse agree byte
+/// for byte.
+class JsonWriter {
+public:
+  explicit JsonWriter(std::string &Out) : Out(Out) {}
+
+  JsonWriter &beginObject() { return open('{'); }
+  JsonWriter &endObject() { return close('}'); }
+  JsonWriter &beginArray() { return open('['); }
+  JsonWriter &endArray() { return close(']'); }
+  /// An object member's name; the next value written is its value.
+  JsonWriter &key(std::string_view K) {
+    separate();
+    appendString(K);
+    Out += ':';
+    NeedComma = false;
+    return *this;
+  }
+
+  JsonWriter &null() {
+    separate();
+    Out += "null";
+    return *this;
+  }
+  JsonWriter &boolean(bool B) {
+    separate();
+    Out += B ? "true" : "false";
+    return *this;
+  }
+  template <std::integral Int> JsonWriter &number(Int I) {
+    separate();
+    char Buf[24];
+    Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), I).ptr);
+    return *this;
+  }
+  /// `%.17g`, the round-trip precision.
+  JsonWriter &number(double D);
+  JsonWriter &number(bool) = delete; ///< use `boolean`
+  JsonWriter &string(std::string_view S) {
+    separate();
+    appendString(S);
+    return *this;
+  }
+  /// A parsed value, rendered in member order.
+  JsonWriter &value(const JsonValue &V);
+
+private:
+  JsonWriter &open(char C) {
+    separate();
+    Out += C;
+    NeedComma = false;
+    return *this;
+  }
+  JsonWriter &close(char C) {
+    Out += C;
+    NeedComma = true;
+    return *this;
+  }
+  void separate() {
+    if (NeedComma)
+      Out += ',';
+    NeedComma = true;
+  }
+  void appendString(std::string_view S);
+
+  std::string &Out;
+  bool NeedComma = false;
+};
+
+/// Serializes \p V on one line (no newline appended) via `JsonWriter`.
 std::string renderJson(const JsonValue &V);
-void renderJson(const JsonValue &V, std::string &Out);
 
 } // namespace serve
 } // namespace stcfa

@@ -49,35 +49,18 @@ Status stcfa::serve::validateRequest(JsonValue Doc, ServeRequest &Out) {
   return Status::ok();
 }
 
-std::string stcfa::serve::renderOkReply(const JsonValue &Id,
-                                        const JsonValue &Result) {
-  std::string Out = "{\"id\":";
-  renderJson(Id, Out);
-  Out += ",\"ok\":true,\"result\":";
-  renderJson(Result, Out);
-  Out += '}';
-  return Out;
+void stcfa::serve::beginOkReply(JsonWriter &W, const JsonValue &Id) {
+  W.beginObject().key("id").value(Id).key("ok").boolean(true).key("result");
 }
 
-std::string stcfa::serve::renderRawOkReply(const JsonValue &Id,
-                                           const std::string &Raw) {
-  std::string Out = "{\"id\":";
-  renderJson(Id, Out);
-  Out += ",\"ok\":true,\"result\":";
-  Out += Raw;
-  Out += '}';
-  return Out;
-}
-
-std::string stcfa::serve::renderErrorReply(const JsonValue &Id,
-                                           const Status &S) {
-  JsonValue Err = JsonValue::object();
-  Err.set("code", JsonValue::string(statusCodeName(S.code())));
-  Err.set("message", JsonValue::string(S.message()));
-  std::string Out = "{\"id\":";
-  renderJson(Id, Out);
-  Out += ",\"ok\":false,\"error\":";
-  renderJson(Err, Out);
-  Out += '}';
-  return Out;
+void stcfa::serve::writeErrorReply(JsonWriter &W, const JsonValue &Id,
+                                   const Status &S) {
+  W.beginObject().key("id").value(Id).key("ok").boolean(false).key("error");
+  W.beginObject()
+      .key("code")
+      .string(statusCodeName(S.code()))
+      .key("message")
+      .string(S.message())
+      .endObject();
+  W.endObject();
 }

@@ -72,16 +72,12 @@ struct ServeRequest {
 /// reply can be correlated.
 Status validateRequest(JsonValue Doc, ServeRequest &Out);
 
-/// `{"id":<id>,"ok":true,"result":<result>}`.
-std::string renderOkReply(const JsonValue &Id, const JsonValue &Result);
+/// Opens `{"id":<id>,"ok":true,"result":` on \p W.  The caller writes
+/// the result value and closes the envelope with `W.endObject()`.
+void beginOkReply(JsonWriter &W, const JsonValue &Id);
 
-/// `{"id":<id>,"ok":true,"result":<raw JSON>}` — splices a
-/// pre-serialized JSON document (the metrics snapshot) without
-/// re-parsing it.
-std::string renderRawOkReply(const JsonValue &Id, const std::string &Raw);
-
-/// `{"id":<id>,"ok":false,"error":{"code":...,"message":...}}`.
-std::string renderErrorReply(const JsonValue &Id, const Status &S);
+/// Writes `{"id":<id>,"ok":false,"error":{"code":...,"message":...}}`.
+void writeErrorReply(JsonWriter &W, const JsonValue &Id, const Status &S);
 
 } // namespace serve
 } // namespace stcfa

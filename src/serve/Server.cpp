@@ -32,17 +32,18 @@ void writeAll(int Fd, const char *Data, size_t Len) {
   }
 }
 
-JsonValue labelArray(const DenseBitset &Set) {
-  JsonValue Arr = JsonValue::array();
-  Set.forEach([&](uint32_t L) { Arr.push(JsonValue::number(int64_t(L))); });
-  return Arr;
+void writeLabels(JsonWriter &W, const DenseBitset &Set) {
+  W.beginArray();
+  Set.forEach([&](uint32_t L) { W.number(L); });
+  W.endArray();
 }
 
-JsonValue universalLabelArray(uint32_t NumLabels) {
-  JsonValue Arr = JsonValue::array();
-  for (uint32_t L = 0; L != NumLabels; ++L)
-    Arr.push(JsonValue::number(int64_t(L)));
-  return Arr;
+/// `[0, 1, ..., N-1]`: every label, or every occurrence.
+void writeIota(JsonWriter &W, uint32_t N) {
+  W.beginArray();
+  for (uint32_t I = 0; I != N; ++I)
+    W.number(I);
+  W.endArray();
 }
 
 /// Reads an optional non-negative integer field with an upper bound.
@@ -253,9 +254,9 @@ void Server::dispatch(ServeRequest Req) {
   case Verb::Shutdown:
     drainWorkers();
     {
-      JsonValue Result = JsonValue::object();
-      Result.set("shutdown", JsonValue::boolean(true));
-      reply(renderOkReply(Req.Id, Result));
+      Reply R("shutdown", Req.Id);
+      R.W.beginObject().key("shutdown").boolean(true).endObject();
+      reply(R);
     }
     ShutdownRequested = true;
     return;
@@ -354,16 +355,22 @@ void Server::handleLoad(const ServeRequest &Req) {
   }
   LoadedSource = Source;
   Session.reset();
-  JsonValue Result = JsonValue::object();
-  Result.set("epoch", JsonValue::number(int64_t(E->id())));
-  Result.set("engine", JsonValue::string(E->engine()));
-  Result.set("cache", JsonValue::string(CacheOutcome));
-  Result.set("exprs", JsonValue::number(int64_t(E->numExprs())));
-  Result.set("labels", JsonValue::number(int64_t(E->numLabels())));
-  Result.set("nodes",
-             JsonValue::number(
-                 int64_t(E->frozen() ? E->frozen()->numNodes() : 0)));
-  reply(renderOkReply(Req.Id, Result));
+  Reply R("load", Req.Id);
+  R.W.beginObject()
+      .key("epoch")
+      .number(E->id())
+      .key("engine")
+      .string(E->engine())
+      .key("cache")
+      .string(CacheOutcome)
+      .key("exprs")
+      .number(E->numExprs())
+      .key("labels")
+      .number(E->numLabels())
+      .key("nodes")
+      .number(E->frozen() ? E->frozen()->numNodes() : 0u)
+      .endObject();
+  reply(R);
   Millis.observe(static_cast<uint64_t>(T.millis()));
 }
 
@@ -571,15 +578,24 @@ void Server::handleEdit(const ServeRequest &Req) {
                                                      : "delta";
   }
 
-  JsonValue Result = JsonValue::object();
-  Result.set("epoch", JsonValue::number(int64_t(E->id())));
-  Result.set("engine", JsonValue::string(E->engine()));
-  Result.set("mode", JsonValue::string(Mode));
-  Result.set("dirty_nodes", JsonValue::number(int64_t(Res.DirtyNodes)));
-  Result.set("reclose_edges", JsonValue::number(int64_t(Res.RecloseEdges)));
-  Result.set("exprs", JsonValue::number(int64_t(E->numExprs())));
-  Result.set("labels", JsonValue::number(int64_t(E->numLabels())));
-  reply(renderOkReply(Req.Id, Result));
+  Reply Out("edit", Req.Id);
+  Out.W.beginObject()
+      .key("epoch")
+      .number(E->id())
+      .key("engine")
+      .string(E->engine())
+      .key("mode")
+      .string(Mode)
+      .key("dirty_nodes")
+      .number(Res.DirtyNodes)
+      .key("reclose_edges")
+      .number(Res.RecloseEdges)
+      .key("exprs")
+      .number(E->numExprs())
+      .key("labels")
+      .number(E->numLabels())
+      .endObject();
+  reply(Out);
   Millis.observe(static_cast<uint64_t>(T.millis()));
 }
 
@@ -592,7 +608,9 @@ void Server::handleMetrics(const ServeRequest &Req) {
                Status::internal("metrics rendering failed: " + S.message()));
     return;
   }
-  reply(renderOkReply(Req.Id, V));
+  Reply R("metrics", Req.Id);
+  R.W.value(V);
+  reply(R);
 }
 
 void Server::handleQuery(const ServeRequest &Req,
@@ -630,93 +648,109 @@ void Server::handleQuery(const ServeRequest &Req,
   ExprId Target = HasExpr ? ExprId(ExprIdx) : E->root();
   Deadline D = requestDeadline(Req);
 
-  JsonValue Result = JsonValue::object();
-  Result.set("epoch", JsonValue::number(int64_t(E->id())));
-  Result.set("engine",
-             JsonValue::string(Degraded ? "partial" : E->engine()));
-  if (Degraded)
-    Result.set("degraded", JsonValue::boolean(true));
-
-  if (Kind == "labels") {
-    if (Degraded) {
-      Result.set("labels", universalLabelArray(E->numLabels()));
-    } else {
-      DenseBitset Set;
-      if (Status S = E->labelsOf(Target, D, Set); !S.isOk()) {
-        replyError(Req.Id, S);
-        return;
-      }
-      Result.set("labels", labelArray(Set));
-    }
-  } else if (Kind == "is-label-in") {
-    if (!HasLabel) {
-      replyError(Req.Id, Status::invalidArgument(
-                             "'is-label-in' needs params.label"));
-      return;
-    }
-    bool Value = true; // the universal superset answers yes
-    if (!Degraded) {
-      if (Status S = E->isLabelIn(Target, LabelId(LabelIdx), D, Value);
-          !S.isOk()) {
-        replyError(Req.Id, S);
-        return;
-      }
-    }
-    Result.set("value", JsonValue::boolean(Value));
-  } else if (Kind == "occurrences") {
-    if (!HasLabel) {
-      replyError(Req.Id, Status::invalidArgument(
-                             "'occurrences' needs params.label"));
-      return;
-    }
-    JsonValue Arr = JsonValue::array();
-    if (Degraded) {
-      for (uint32_t I = 0, N = E->numExprs(); I != N; ++I)
-        Arr.push(JsonValue::number(int64_t(I)));
-    } else {
-      std::vector<ExprId> Occ;
-      if (Status S = E->occurrencesOf(LabelId(LabelIdx), D, Occ);
-          !S.isOk()) {
-        replyError(Req.Id, S);
-        return;
-      }
-      for (ExprId Id : Occ)
-        Arr.push(JsonValue::number(int64_t(Id.index())));
-    }
-    Result.set("exprs", std::move(Arr));
-  } else if (Kind == "all-labels") {
-    if (Degraded) {
-      // Bounded degraded answer: one universal set stands for every
-      // occurrence instead of materializing exprs x labels ids.
-      Result.set("universal", JsonValue::boolean(true));
-      Result.set("labels", universalLabelArray(E->numLabels()));
-    } else {
-      std::vector<DenseBitset> Sets;
-      std::vector<char> Done;
-      Status S = E->allLabels(D, Sets, Done);
-      if (!S.isOk()) {
-        replyError(Req.Id, S);
-        return;
-      }
-      JsonValue Arr = JsonValue::array();
-      for (uint32_t I = 0, N = E->numExprs(); I != N; ++I) {
-        if (!Done[I] || Sets[I].empty())
-          continue;
-        JsonValue Row = JsonValue::object();
-        Row.set("expr", JsonValue::number(int64_t(I)));
-        Row.set("labels", labelArray(Sets[I]));
-        Arr.push(std::move(Row));
-      }
-      Result.set("sets", std::move(Arr));
-    }
-  } else {
+  // The reply streams as it renders, so the answer (or the error that
+  // replaces it) is settled before the first byte.
+  enum class Answer : uint8_t { Labels, IsLabelIn, Occurrences, AllLabels };
+  Answer A;
+  if (Kind == "labels")
+    A = Answer::Labels;
+  else if (Kind == "is-label-in")
+    A = Answer::IsLabelIn;
+  else if (Kind == "occurrences")
+    A = Answer::Occurrences;
+  else if (Kind == "all-labels")
+    A = Answer::AllLabels;
+  else {
     replyError(Req.Id,
                Status::invalidArgument(
                    "unknown query kind '" + Kind +
                    "' (labels|all-labels|is-label-in|occurrences)"));
     return;
   }
-  reply(renderOkReply(Req.Id, Result));
+  if ((A == Answer::IsLabelIn || A == Answer::Occurrences) && !HasLabel) {
+    replyError(Req.Id, Status::invalidArgument("'" + Kind +
+                                               "' needs params.label"));
+    return;
+  }
+  DenseBitset Set;
+  bool Value = true; // the universal superset answers yes
+  std::vector<ExprId> Occ;
+  std::vector<DenseBitset> Sets;
+  std::vector<char> Done;
+  if (!Degraded) {
+    Status S = Status::ok();
+    switch (A) {
+    case Answer::Labels:
+      S = E->labelsOf(Target, D, Set);
+      break;
+    case Answer::IsLabelIn:
+      S = E->isLabelIn(Target, LabelId(LabelIdx), D, Value);
+      break;
+    case Answer::Occurrences:
+      S = E->occurrencesOf(LabelId(LabelIdx), D, Occ);
+      break;
+    case Answer::AllLabels:
+      S = E->allLabels(D, Sets, Done);
+      break;
+    }
+    if (!S.isOk()) {
+      replyError(Req.Id, S);
+      return;
+    }
+  }
+
+  Reply R("query", Req.Id);
+  JsonWriter &W = R.W;
+  W.beginObject()
+      .key("epoch")
+      .number(E->id())
+      .key("engine")
+      .string(Degraded ? "partial" : E->engine());
+  if (Degraded)
+    W.key("degraded").boolean(true);
+  switch (A) {
+  case Answer::Labels:
+    W.key("labels");
+    if (Degraded)
+      writeIota(W, E->numLabels());
+    else
+      writeLabels(W, Set);
+    break;
+  case Answer::IsLabelIn:
+    W.key("value").boolean(Value);
+    break;
+  case Answer::Occurrences:
+    W.key("exprs");
+    if (Degraded) {
+      writeIota(W, E->numExprs());
+    } else {
+      W.beginArray();
+      for (ExprId Id : Occ)
+        W.number(Id.index());
+      W.endArray();
+    }
+    break;
+  case Answer::AllLabels:
+    if (Degraded) {
+      // Bounded degraded answer: one universal set stands for every
+      // occurrence instead of materializing exprs x labels ids.
+      W.key("universal").boolean(true).key("labels");
+      writeIota(W, E->numLabels());
+      break;
+    }
+    W.key("sets").beginArray();
+    for (uint32_t I = 0, N = E->numExprs(); I != N; ++I) {
+      if (!Done[I] || Sets[I].empty())
+        continue;
+      W.beginObject().key("expr").number(I).key("labels");
+      writeLabels(W, Sets[I]);
+      W.endObject();
+    }
+    W.endArray();
+    break;
+  }
+  W.endObject();
+  reply(R);
   Millis.observe(static_cast<uint64_t>(T.millis()));
 }
 
@@ -756,27 +790,40 @@ void Server::handleLint(const ServeRequest &Req,
     return;
   }
 
-  JsonValue Findings = JsonValue::array();
-  for (const LintPassReport &R : LR.Reports)
-    for (const LintDiagnostic &Diag : R.Findings) {
-      JsonValue F = JsonValue::object();
-      F.set("pass", JsonValue::string(Diag.RuleId));
-      F.set("severity",
-            JsonValue::string(lintSeverityName(Diag.Severity)));
-      F.set("message", JsonValue::string(Diag.Message));
-      F.set("line", JsonValue::number(int64_t(Diag.Range.Begin.Line)));
-      F.set("col", JsonValue::number(int64_t(Diag.Range.Begin.Col)));
-      Findings.push(std::move(F));
-    }
-  JsonValue Result = JsonValue::object();
-  Result.set("epoch", JsonValue::number(int64_t(E->id())));
-  Result.set("engine", JsonValue::string(E->engine()));
-  Result.set("findings", std::move(Findings));
-  Result.set("errors", JsonValue::number(int64_t(LR.NumErrors)));
-  Result.set("warnings", JsonValue::number(int64_t(LR.NumWarnings)));
-  Result.set("notes", JsonValue::number(int64_t(LR.NumNotes)));
-  Result.set("partial", JsonValue::boolean(LR.anyPartial()));
-  reply(renderOkReply(Req.Id, Result));
+  Reply R("lint", Req.Id);
+  JsonWriter &W = R.W;
+  W.beginObject()
+      .key("epoch")
+      .number(E->id())
+      .key("engine")
+      .string(E->engine())
+      .key("findings")
+      .beginArray();
+  for (const LintPassReport &Rep : LR.Reports)
+    for (const LintDiagnostic &Diag : Rep.Findings)
+      W.beginObject()
+          .key("pass")
+          .string(Diag.RuleId)
+          .key("severity")
+          .string(lintSeverityName(Diag.Severity))
+          .key("message")
+          .string(Diag.Message)
+          .key("line")
+          .number(Diag.Range.Begin.Line)
+          .key("col")
+          .number(Diag.Range.Begin.Col)
+          .endObject();
+  W.endArray()
+      .key("errors")
+      .number(LR.NumErrors)
+      .key("warnings")
+      .number(LR.NumWarnings)
+      .key("notes")
+      .number(LR.NumNotes)
+      .key("partial")
+      .boolean(LR.anyPartial())
+      .endObject();
+  reply(R);
   Millis.observe(static_cast<uint64_t>(T.millis()));
 }
 
@@ -827,25 +874,30 @@ void Server::handleSlice(const ServeRequest &Req,
     return;
   }
 
-  JsonValue Exprs = JsonValue::array();
+  Reply R("slice", Req.Id);
+  JsonWriter &W = R.W;
+  W.beginObject()
+      .key("epoch")
+      .number(E->id())
+      .key("engine")
+      .string(E->engine())
+      .key("target")
+      .number(Target.index())
+      .key("dir")
+      .string(Dir == SliceDirection::Forward ? "fwd" : "back")
+      .key("exprs")
+      .beginArray();
   for (ExprId Member : SR.Members)
-    Exprs.push(JsonValue::number(int64_t(Member.index())));
-  JsonValue Result = JsonValue::object();
-  Result.set("epoch", JsonValue::number(int64_t(E->id())));
-  Result.set("engine", JsonValue::string(E->engine()));
-  Result.set("target", JsonValue::number(int64_t(Target.index())));
-  Result.set("dir", JsonValue::string(Dir == SliceDirection::Forward
-                                          ? "fwd"
-                                          : "back"));
-  Result.set("exprs", std::move(Exprs));
-  Result.set("partial", JsonValue::boolean(SR.Partial));
+    W.number(Member.index());
+  W.endArray().key("partial").boolean(SR.Partial);
   if (Witness) {
-    JsonValue Chains = JsonValue::array();
+    W.key("witnesses").beginArray();
     for (const std::string &Chain : SR.Witnesses)
-      Chains.push(JsonValue::string(Chain));
-    Result.set("witnesses", std::move(Chains));
+      W.string(Chain);
+    W.endArray();
   }
-  reply(renderOkReply(Req.Id, Result));
+  W.endObject();
+  reply(R);
   Millis.observe(static_cast<uint64_t>(T.millis()));
 }
 
@@ -853,7 +905,18 @@ void Server::handleSlice(const ServeRequest &Req,
 // Reply path
 //===----------------------------------------------------------------------===//
 
-void Server::reply(const std::string &Line) {
+Server::Reply::Reply(const char *Verb, const JsonValue &Id)
+    : ReplySpan("serve.reply"), W(Line) {
+  ReplySpan.arg("verb", Verb);
+  beginOkReply(W, Id);
+}
+
+void Server::reply(Reply &R) {
+  R.W.endObject();
+  writeLine(R.Line, R.ReplySpan);
+}
+
+void Server::writeLine(std::string &Line, Span &ReplySpan) {
   static Counter &Replies = counter("serve.replies");
   Replies.inc();
   // The reply-write fault: serialization failed after the work was done.
@@ -868,14 +931,19 @@ void Server::reply(const std::string &Line) {
     writeAll(OutFd, Fallback, sizeof(Fallback) - 1);
     return;
   }
-  std::string Out = Line;
-  Out += '\n';
+  Line += '\n';
+  ReplySpan.arg("bytes", Line.size());
   std::lock_guard<std::mutex> Lock(WriteMu);
-  writeAll(OutFd, Out.data(), Out.size());
+  writeAll(OutFd, Line.data(), Line.size());
 }
 
 void Server::replyError(const JsonValue &Id, const Status &S) {
   static Counter &Errors = counter("serve.errors");
   Errors.inc();
-  reply(renderErrorReply(Id, S));
+  Span ReplySpan("serve.reply");
+  ReplySpan.arg("verb", "error");
+  std::string Line;
+  JsonWriter W(Line);
+  writeErrorReply(W, Id, S);
+  writeLine(Line, ReplySpan);
 }

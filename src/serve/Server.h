@@ -38,6 +38,7 @@
 #include "delta/DeltaSession.h"
 #include "serve/Epoch.h"
 #include "serve/Protocol.h"
+#include "support/Trace.h"
 
 #include <atomic>
 #include <condition_variable>
@@ -152,8 +153,24 @@ private:
                       bool UseCache, const char *&CacheOutcome,
                       std::shared_ptr<Epoch> &Out);
   Deadline requestDeadline(const ServeRequest &Req) const;
-  void reply(const std::string &Line);
+  /// One success reply under construction.  The `serve.reply` span
+  /// (args `verb`, `bytes`) covers rendering it and writing it out; the
+  /// line is rendered straight into `Line`, which `reply` terminates and
+  /// writes without a copy.
+  struct Reply {
+    /// Opens the span and `{"id":<Id>,"ok":true,"result":`; the caller
+    /// writes the result value with `W`.
+    Reply(const char *Verb, const JsonValue &Id);
+    Span ReplySpan;
+    std::string Line;
+    JsonWriter W;
+  };
+  /// Closes \p R's envelope and writes it.
+  void reply(Reply &R);
   void replyError(const JsonValue &Id, const Status &S);
+  /// Appends the newline to \p Line and writes it under the write mutex
+  /// (or the static fallback line when the reply-write fault fires).
+  void writeLine(std::string &Line, Span &ReplySpan);
   void enqueue(std::function<void()> Job);
   void drainWorkers();
 

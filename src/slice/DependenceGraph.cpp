@@ -328,21 +328,37 @@ Status DependenceGraph::init(const Options &Opts) {
     }
   }
 
-  // --- pass 3: dedup + CSR.  Most-specific kind wins for a repeated
-  // (From, To) pair; reachability is identical either way.
-  std::sort(Edges.begin(), Edges.end(),
-            [](const RawEdge &A, const RawEdge &B) {
-              if (A.From != B.From)
-                return A.From < B.From;
-              if (A.To != B.To)
-                return A.To < B.To;
-              return kindPriority(A.Kind) < kindPriority(B.Kind);
-            });
-  Edges.erase(std::unique(Edges.begin(), Edges.end(),
-                          [](const RawEdge &A, const RawEdge &B) {
-                            return A.From == B.From && A.To == B.To;
-                          }),
-              Edges.end());
+  // --- pass 3: dedup + CSR.  Two counting passes order the edges by
+  // (From, To) in O(E + V) — by To, then stably by From — and one sweep
+  // keeps the most specific kind of each repeated pair; reachability is
+  // identical either way.
+  {
+    std::vector<RawEdge> ByTo(Edges.size());
+    std::vector<uint32_t> Cursor(NumEnts + 1);
+    auto bucketBy = [&](const std::vector<RawEdge> &In,
+                        std::vector<RawEdge> &Out, auto KeyOf) {
+      std::fill(Cursor.begin(), Cursor.end(), 0);
+      for (const RawEdge &E : In)
+        ++Cursor[KeyOf(E) + 1];
+      for (uint32_t I = 0; I != NumEnts; ++I)
+        Cursor[I + 1] += Cursor[I];
+      for (const RawEdge &E : In)
+        Out[Cursor[KeyOf(E)]++] = E;
+    };
+    bucketBy(Edges, ByTo, [](const RawEdge &E) { return E.To; });
+    bucketBy(ByTo, Edges, [](const RawEdge &E) { return E.From; });
+  }
+  size_t Kept = 0;
+  for (const RawEdge &E : Edges) {
+    RawEdge *Last = Kept ? &Edges[Kept - 1] : nullptr;
+    if (Last && Last->From == E.From && Last->To == E.To) {
+      if (kindPriority(E.Kind) < kindPriority(Last->Kind))
+        Last->Kind = E.Kind;
+      continue;
+    }
+    Edges[Kept++] = E;
+  }
+  Edges.resize(Kept);
 
   FwdOffsets.assign(NumEnts + 1, 0);
   for (const RawEdge &E : Edges)

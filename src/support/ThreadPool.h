@@ -17,6 +17,15 @@
 /// even on a single-core machine; a pool of size 1 spawns no threads and
 /// runs everything inline.
 ///
+/// The query engine, the label-set kernel and the lint pass manager
+/// borrow `shared(Width)`: one pool per width for the life of the
+/// process, so a long-running daemon starts its lanes once, not once per
+/// request.  A pool runs one batch at a time.  A caller that finds it
+/// busy — a second thread, or a task of the running batch calling back
+/// into the pool — runs its own batch inline as worker 0; it never
+/// waits for the lanes, so neither case can deadlock or interleave two
+/// batches' lane indices.
+///
 /// Tasks are claimed through one atomic cursor whose high half carries
 /// the batch generation: a claim can only succeed against the batch it
 /// was issued for, so a worker waking late (or holding a stale task
@@ -29,7 +38,6 @@
 #define STCFA_SUPPORT_THREADPOOL_H
 
 #include <atomic>
-#include <cassert>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -44,115 +52,42 @@ namespace stcfa {
 class ThreadPool {
 public:
   /// Creates a pool of logical size \p Size (>= 1): the caller plus
-  /// `Size - 1` background threads.
-  explicit ThreadPool(unsigned Size) : Size(Size ? Size : 1) {
-    Workers.reserve(this->Size - 1);
-    for (unsigned W = 1; W != this->Size; ++W)
-      Workers.emplace_back([this, W] { workerLoop(W); });
-  }
+  /// `Size - 1` background threads.  Each thread started bumps the
+  /// `support.threads_started` counter.
+  explicit ThreadPool(unsigned Size);
+  ~ThreadPool();
 
   ThreadPool(const ThreadPool &) = delete;
   ThreadPool &operator=(const ThreadPool &) = delete;
 
-  ~ThreadPool() {
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      ShuttingDown = true;
-    }
-    WorkReady.notify_all();
-    for (std::thread &T : Workers)
-      T.join();
-  }
+  /// The process-lifetime pool of logical size \p Size (0 reads as 1),
+  /// created on first use.  It is never destroyed: its threads park on a
+  /// condition variable until the process exits.  Thread-safe.
+  static ThreadPool &shared(unsigned Size);
 
   /// Logical worker count (including the calling thread).
   unsigned size() const { return Size; }
 
   /// Runs `Fn(Worker, Task)` for every `Task` in `[0, NumTasks)`, then
   /// returns.  Tasks are claimed dynamically; `Worker` identifies the
-  /// executing lane (0 = the calling thread).  Not reentrant.
+  /// executing lane (0 = the calling thread).  Safe to call from several
+  /// threads and from inside a running task: a caller that finds the
+  /// pool busy runs its whole batch inline with `Worker` 0.
   void parallelFor(size_t NumTasks,
-                   const std::function<void(unsigned, size_t)> &Fn) {
-    if (NumTasks == 0)
-      return;
-    if (Size == 1 || NumTasks == 1) {
-      for (size_t T = 0; T != NumTasks; ++T)
-        Fn(0, T);
-      return;
-    }
-    assert(NumTasks < (uint64_t(1) << 32) && "task count packs into 32 bits");
-    uint64_t Gen;
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      assert(Pending == 0 && "parallelFor is not reentrant");
-      Task = &Fn;
-      Total = static_cast<uint32_t>(NumTasks);
-      Pending = NumTasks;
-      Gen = ++Generation;
-      Cursor.store(Gen << 32, std::memory_order_release);
-    }
-    WorkReady.notify_all();
-    runTasks(0, Fn, Total, Gen);
-    std::unique_lock<std::mutex> Lock(Mutex);
-    AllDone.wait(Lock, [this] { return Pending == 0; });
-    Task = nullptr;
-  }
+                   const std::function<void(unsigned, size_t)> &Fn);
 
 private:
-  /// Claims and runs tasks of batch \p Gen until it drains (or a newer
-  /// batch supersedes it, which cannot happen while this batch has
-  /// unclaimed tasks — `Pending` keeps `parallelFor` blocked).
-  void runTasks(unsigned Worker, const std::function<void(unsigned, size_t)> &Fn,
-                uint32_t Tot, uint64_t Gen) {
-    size_t Done = 0;
-    const uint64_t GenBits = (Gen & 0xffffffffull) << 32;
-    uint64_t C = Cursor.load(std::memory_order_acquire);
-    while ((C & 0xffffffff00000000ull) == GenBits) {
-      uint32_t T = static_cast<uint32_t>(C);
-      if (T >= Tot)
-        break;
-      if (Cursor.compare_exchange_weak(C, C + 1, std::memory_order_acq_rel,
-                                       std::memory_order_acquire)) {
-        Fn(Worker, T);
-        ++Done;
-        C = Cursor.load(std::memory_order_acquire);
-      }
-    }
-    if (Done) {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      Pending -= Done;
-      if (Pending == 0)
-        AllDone.notify_all();
-    }
-  }
-
-  void workerLoop(unsigned Worker) {
-    uint64_t SeenGeneration = 0;
-    for (;;) {
-      const std::function<void(unsigned, size_t)> *Fn;
-      uint32_t Tot;
-      uint64_t Gen;
-      {
-        std::unique_lock<std::mutex> Lock(Mutex);
-        WorkReady.wait(Lock, [&] {
-          return ShuttingDown || Generation != SeenGeneration;
-        });
-        if (ShuttingDown)
-          return;
-        SeenGeneration = Generation;
-        if (Pending == 0)
-          continue; // batch already drained
-        Fn = Task;
-        Tot = Total;
-        Gen = Generation;
-      }
-      runTasks(Worker, *Fn, Tot, Gen);
-    }
-  }
+  void runTasks(unsigned Worker,
+                const std::function<void(unsigned, size_t)> &Fn, uint32_t Tot,
+                uint64_t Gen);
+  void workerLoop(unsigned Worker);
 
   unsigned Size;
-  std::vector<std::thread> Workers;
 
-  std::mutex Mutex;
+  /// Set while one caller owns the lanes for a batch.
+  std::atomic<bool> Claimed{false};
+
+  std::mutex Mutex; ///< guards the batch fields below
   std::condition_variable WorkReady, AllDone;
   const std::function<void(unsigned, size_t)> *Task = nullptr;
   uint32_t Total = 0;
@@ -163,6 +98,9 @@ private:
   /// High 32 bits: batch generation (mod 2^32); low 32 bits: next
   /// unclaimed task index.
   std::atomic<uint64_t> Cursor{0};
+
+  /// Declared last: the threads read every member above.
+  std::vector<std::thread> Workers;
 };
 
 } // namespace stcfa

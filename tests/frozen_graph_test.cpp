@@ -31,6 +31,7 @@
 #include "TestUtil.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <map>
 #include <set>
@@ -83,6 +84,49 @@ TEST(ThreadPool, SingleWorkerAndEmptyBatch) {
     ++Count;
   });
   EXPECT_EQ(Count, 7);
+}
+
+TEST(ThreadPool, ConcurrentAndNestedCallersRunEveryTaskOnce) {
+  // Four threads share one pool and every eighth task fans out again.
+  // A batch that finds the lanes taken runs inline as worker 0, so no
+  // batch ever has two of its tasks on one lane index at once.
+  ThreadPool &Pool = ThreadPool::shared(3);
+  EXPECT_EQ(&Pool, &ThreadPool::shared(3));
+  EXPECT_EQ(Pool.size(), 3u);
+  constexpr unsigned Callers = 4;
+  constexpr size_t Outer = 256, Inner = 8;
+  std::vector<std::atomic<int>> Hits(Callers * Outer);
+  std::vector<std::atomic<int>> NestedHits(Callers * Outer * Inner);
+  std::atomic<int> Overlaps{0};
+  auto RunBatch = [&](size_t N, auto &&Task) {
+    std::array<std::atomic<bool>, 3> Busy{};
+    Pool.parallelFor(N, [&](unsigned W, size_t I) {
+      ASSERT_LT(W, 3u);
+      if (Busy[W].exchange(true))
+        ++Overlaps;
+      Task(I);
+      Busy[W] = false;
+    });
+  };
+  auto RunCaller = [&](unsigned C) {
+    RunBatch(Outer, [&](size_t I) {
+      ++Hits[C * Outer + I];
+      if (I % 8 == 0)
+        RunBatch(Inner, [&](size_t J) {
+          ++NestedHits[(C * Outer + I) * Inner + J];
+        });
+    });
+  };
+  std::vector<std::thread> Threads;
+  for (unsigned C = 0; C != Callers; ++C)
+    Threads.emplace_back(RunCaller, C);
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Overlaps.load(), 0);
+  for (auto &H : Hits)
+    EXPECT_EQ(H.load(), 1);
+  for (size_t K = 0; K != NestedHits.size(); ++K)
+    EXPECT_EQ(NestedHits[K].load(), (K / Inner) % Outer % 8 == 0 ? 1 : 0);
 }
 
 //===----------------------------------------------------------------------===//

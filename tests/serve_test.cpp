@@ -27,6 +27,7 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <iterator>
 #include <map>
@@ -332,6 +333,50 @@ TEST(ServeJson, EscapesControlBytesOnRender) {
   JsonValue Back;
   ASSERT_TRUE(parseJson(Out, Back).isOk());
   EXPECT_EQ(Back.field("s")->asString(), S);
+}
+
+TEST(ServeJson, WriterEscapesInRunsAndMatchesTheTreeRenderer) {
+  // Every byte class the escaper tells apart: quote, backslash, the five
+  // named control escapes, \u-escaped controls, and bytes copied as-is
+  // (DEL, multibyte UTF-8, plain runs between escapes).
+  std::string S = "q\"b\\\b\f\n\r\t";
+  S += '\x01';
+  S += '\x1f';
+  S += '\x7f';
+  S += "\xc3\xa9\xe2\x86\x92\xf0\x9f\x98\x80 tail";
+  const std::string Want = R"("q\"b\\\b\f\n\r\t\u0001\u001f)"
+                           "\x7f"
+                           "\xc3\xa9\xe2\x86\x92\xf0\x9f\x98\x80 tail\"";
+  std::string Out;
+  JsonWriter(Out).string(S);
+  EXPECT_EQ(Out, Want);
+  EXPECT_EQ(renderJson(JsonValue::string(S)), Want);
+  JsonValue Back;
+  ASSERT_TRUE(parseJson(Out, Back).isOk());
+  EXPECT_EQ(Back.asString(), S);
+
+  // Structure: commas, keys, nesting, empty containers, integer extremes.
+  JsonValue Tree = JsonValue::object();
+  JsonValue Arr = JsonValue::array();
+  Arr.push(JsonValue::number(INT64_MIN));
+  Arr.push(JsonValue::number(int64_t(0)));
+  Arr.push(JsonValue::number(3.5));
+  Arr.push(JsonValue::boolean(true));
+  Arr.push(JsonValue::null());
+  Arr.push(JsonValue::string(S));
+  Tree.set("a", std::move(Arr));
+  Tree.set("b", JsonValue::object());
+  Tree.set("c", JsonValue::array());
+  std::string Doc;
+  JsonWriter W(Doc);
+  W.beginObject().key("a").beginArray().number(INT64_MIN).number(0u);
+  W.number(3.5).boolean(true).null().string(S).endArray();
+  W.key("b").beginObject().endObject().key("c").beginArray().endArray();
+  W.endObject();
+  EXPECT_EQ(Doc, renderJson(Tree));
+  std::string Big;
+  JsonWriter(Big).number(UINT64_MAX);
+  EXPECT_EQ(Big, std::to_string(UINT64_MAX));
 }
 
 //===----------------------------------------------------------------------===//
@@ -1133,6 +1178,64 @@ TEST(ServeEdit, EditSequenceLintAndSliceMatchAFreshLoad) {
   H.shutdown();
 }
 
+TEST(ServeEdit, EditorRoundsStartNoThreadsAndStreamCanonicalReplies) {
+  // Once `load` has run, the lanes every width needs exist: editor rounds
+  // (edit, lint, eight point queries, slice) borrow them and start no
+  // thread.  Each streamed lint and slice reply is byte-equal to the tree
+  // rendering of its own parse.
+  ServeOptions O;
+  O.Threads = 4;
+  ServeHarness H{O};
+  H.send(loadRequest(1, kItems));
+  ASSERT_TRUE(ServeHarness::okOf(H.recv()));
+  Counter &Started = counter("support.threads_started");
+  const uint64_t StartedAfterLoad = Started.value();
+  auto expectCanonical = [](const std::string &Line) {
+    JsonValue V;
+    ASSERT_TRUE(parseJson(Line, V).isOk()) << Line;
+    EXPECT_TRUE(ServeHarness::okOf(V)) << Line;
+    EXPECT_EQ(renderJson(V), Line);
+  };
+  const char *RestoreF1 =
+      R"({"op":"replace","name":"f1","text":"let f1 = fn x => f0 x;"})";
+  int Id = 2;
+  for (int Round = 0; Round != 10; ++Round) {
+    SCOPED_TRACE(Round);
+    H.send(editRequest(Id++, Round % 2 ? RestoreF1 : kReplaceF1Params));
+    ASSERT_TRUE(ServeHarness::okOf(H.recv()));
+    H.send(R"({"id":)" + std::to_string(Id++) + R"(,"verb":"lint"})");
+    expectCanonical(H.recvLine());
+    for (int Q = 0; Q != 8; ++Q) {
+      H.send(R"({"id":)" + std::to_string(Id++) +
+             R"(,"verb":"query","params":{"kind":"labels","expr":)" +
+             std::to_string(Q) + "}}");
+      ASSERT_TRUE(ServeHarness::okOf(H.recv()));
+    }
+    H.send(R"({"id":)" + std::to_string(Id++) +
+           R"(,"verb":"slice","params":{"dir":"back","witness":true}})");
+    expectCanonical(H.recvLine());
+  }
+  EXPECT_EQ(Started.value(), StartedAfterLoad);
+
+  // Request workers share the pool: lints and all-labels batches on
+  // epochs that loads keep swapping run concurrently, and each either
+  // owns the lanes or runs inline.
+  std::string Burst;
+  int Sent = 0;
+  for (int Round = 0; Round != 6; ++Round) {
+    Burst += loadRequest(Id++, Round % 2 ? kProgram : kItems) + "\n";
+    Burst += R"({"id":)" + std::to_string(Id++) + R"(,"verb":"lint"})" "\n";
+    Burst += R"({"id":)" + std::to_string(Id++) +
+             R"(,"verb":"query","params":{"kind":"all-labels"}})" "\n";
+    Sent += 3;
+  }
+  H.sendRaw(Burst);
+  for (int I = 0; I != Sent; ++I)
+    expectCanonical(H.recvLine());
+  EXPECT_EQ(Started.value(), StartedAfterLoad);
+  H.shutdown();
+}
+
 TEST(ServeEdit, DeltaLintTraceShowsNoResolve) {
   if (!tracingCompiledIn())
     GTEST_SKIP() << "tracing compiled out";
@@ -1161,7 +1264,16 @@ TEST(ServeEdit, DeltaLintTraceShowsNoResolve) {
   for (const TraceEventView &Ev : Evs)
     BySeq[Ev.Seq] = &Ev;
   int Substrates = 0, LintRuns = 0;
+  std::vector<std::string> Replies;
   for (const TraceEventView &Ev : Evs) {
+    if (Ev.Name == "serve.reply") {
+      Replies.push_back(Ev.StrVal);
+      for (const auto &[K, V] : Ev.Args) {
+        if (K == "bytes") {
+          EXPECT_GT(V, 0u);
+        }
+      }
+    }
     EXPECT_NE(Ev.Name, "infer");
     EXPECT_NE(Ev.Name, "build");
     EXPECT_NE(Ev.Name, "hybrid.solve");
@@ -1189,6 +1301,8 @@ TEST(ServeEdit, DeltaLintTraceShowsNoResolve) {
   }
   EXPECT_EQ(Substrates, 1);
   EXPECT_EQ(LintRuns, 1);
+  std::sort(Replies.begin(), Replies.end());
+  EXPECT_EQ(Replies, (std::vector<std::string>{"edit", "lint"}));
   H.shutdown();
 }
 
