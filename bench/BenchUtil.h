@@ -63,10 +63,41 @@ inline const char *simdSupported() {
   return simd::pathName(simd::Path::Scalar);
 }
 
+/// The checkout a bench binary was built from, as `git describe --always
+/// --dirty` prints it ("unknown" when git or the checkout is missing).
+inline std::string gitRevision() {
+#ifdef STCFA_SOURCE_DIR
+  std::string Cmd = "git -C '" STCFA_SOURCE_DIR
+                    "' describe --always --dirty --abbrev=12 2>/dev/null";
+  if (std::FILE *P = popen(Cmd.c_str(), "r")) {
+    char Buf[128] = {};
+    bool Got = std::fgets(Buf, sizeof Buf, P) != nullptr;
+    pclose(P);
+    std::string Rev = Got ? Buf : "";
+    while (!Rev.empty() && (Rev.back() == '\n' || Rev.back() == '\r'))
+      Rev.pop_back();
+    if (!Rev.empty())
+      return Rev;
+  }
+#endif
+  return "unknown";
+}
+
+/// The CMake build type the bench binary was compiled under.
+inline std::string buildType() {
+#ifdef STCFA_BUILD_TYPE
+  return STCFA_BUILD_TYPE;
+#else
+  return "unknown";
+#endif
+}
+
 /// Machine-readable companion to the printed tables: collects flat
 /// records of numeric/string metrics and writes them as a JSON array to
 /// `BENCH_<name>.json` in the working directory, so runs can be diffed
-/// and plotted without scraping stdout.
+/// and plotted without scraping stdout.  Every record is stamped with
+/// the `git_sha` and `build_type` that produced it, so a committed file
+/// records where its numbers came from.
 ///
 /// \code
 ///   JsonReport Report("queries");
@@ -146,9 +177,12 @@ public:
       std::fprintf(stderr, "warning: cannot write %s\n", Path.c_str());
       return;
     }
+    const std::string Sha = gitRevision(), Type = buildType();
     std::fprintf(F, "[\n");
     for (size_t I = 0; I != Records.size(); ++I) {
-      std::fprintf(F, "  {\"kind\": \"%s\"", Records[I].Kind.c_str());
+      std::fprintf(F, "  {\"kind\": \"%s\", \"git_sha\": \"%s\", "
+                      "\"build_type\": \"%s\"",
+                   Records[I].Kind.c_str(), Sha.c_str(), Type.c_str());
       for (const auto &[Key, Value] : Records[I].Fields)
         std::fprintf(F, ", \"%s\": %s", Key.c_str(), Value.c_str());
       std::fprintf(F, "}%s\n", I + 1 == Records.size() ? "" : ",");

@@ -17,8 +17,11 @@
 #                  differential fuzz: it runs the kernel on 2 lanes
 #                  against StandardCFA at several chunk sizes, and shared
 #                  (forwarding) rows decide which rows the parallel
-#                  per-level sweep reads.  The rest of the fuzz sweep
-#                  under TSan is slow and adds no thread coverage.
+#                  per-level sweep reads.  The delta edit-sequence fuzz
+#                  runs too: its published views are read by query
+#                  engines that borrow the shared lane pool.  The seed-
+#                  sweeping random-program fuzz under TSan is slow and
+#                  adds no thread coverage.
 #
 # Usage: scripts/ci.sh [--fast]
 #   --fast  skip the release and sanitizer presets (tier-1 only)
@@ -124,6 +127,8 @@ if [[ "${FAST}" == 0 ]]; then
   run_preset build-tsan "-DSTCFA_SANITIZE=thread" -L 'unit|serve-smoke'
   ./build-tsan/tests/stcfa_fuzz_tests \
     --gtest_filter='*DifferentialFuzzShapes*' --gtest_brief=1
+  ./build-tsan/tests/stcfa_fuzz_tests \
+    --gtest_filter='DeltaFuzz*' --gtest_brief=1
 fi
 
 if [[ "${FAST}" == 1 ]]; then

@@ -399,6 +399,88 @@ Status LabelSetKernel::run(const Controls &C) {
   return finish(Status::ok());
 }
 
+Status LabelSetKernel::verify() const {
+  if (!complete())
+    return Status::failedPrecondition("label-set kernel is not complete");
+  constexpr uint32_t None = FrozenGraph::None;
+  const uint32_t NumSccs = Cond->numSccs();
+  auto fail = [](const std::string &What) {
+    return Status::internal("label-set kernel: " + What);
+  };
+  auto name = [](const char *Kind, size_t Id) {
+    return std::string(Kind) + " " + std::to_string(Id);
+  };
+  // Adopted snapshot matrices map components to rows by identity and
+  // never forward.
+  auto forwardsTo = [&](uint32_t Scc) {
+    return ForwardTo.empty() ? None : ForwardTo[Scc];
+  };
+
+  std::vector<uint32_t> OwnerOfRow(NumRows, None);
+  for (uint32_t Scc = 0; Scc != NumSccs; ++Scc) {
+    const size_t R = rowIndex(Scc);
+    if (R >= NumRows)
+      return fail(name("component", Scc) + " maps past the last row");
+    if (uint32_t O = forwardsTo(Scc); O != None) {
+      if (O >= NumSccs || forwardsTo(O) != None)
+        return fail(name("component", Scc) + " forwards to " +
+                    name("component", O) + ", which owns no row");
+      if (rowIndex(O) != R)
+        return fail(name("component", Scc) + " does not share its owner's row");
+      continue;
+    }
+    if (OwnerOfRow[R] != None)
+      return fail(name("row", R) + " is owned by " +
+                  name("component", OwnerOfRow[R]) + " and " +
+                  name("component", Scc));
+    OwnerOfRow[R] = Scc;
+  }
+  for (uint32_t R = 0; R != NumRows; ++R)
+    if (OwnerOfRow[R] == None)
+      return fail(name("row", R) + " has no owning component");
+
+  auto has = [&](const uint64_t *Row, uint32_t L) {
+    return (Row[L / 64] >> (L % 64)) & 1;
+  };
+  const uint32_t *Off = F.outOffsets();
+  const uint32_t *Tgt = F.outTargets();
+  const uint32_t *Lab = F.labelArray();
+  const uint32_t Tail = F.numLabels() % 64;
+  for (uint32_t Scc = 0; Scc != NumSccs; ++Scc)
+    if (Tail != 0 && WordsPerSet != 0 &&
+        (row(Scc)[WordsPerSet - 1] >> Tail) != 0)
+      return fail(name("component", Scc) + "'s row has a bit past the last "
+                                           "label");
+  for (uint32_t N = 0; N != F.numNodes(); ++N) {
+    const uint32_t Scc = Cond->sccOf(N);
+    const uint64_t *R = row(Scc);
+    const bool Forwards = forwardsTo(Scc) != None;
+    if (uint32_t L = Lab[N]; L != None) {
+      if (Forwards)
+        return fail(name("labelled component", Scc) + " forwards");
+      if (!has(R, L))
+        return fail(name("component", Scc) + "'s row lacks its own " +
+                    name("label", L));
+    }
+    for (uint32_t J = Off[N]; J != Off[N + 1]; ++J) {
+      const uint32_t S = Cond->sccOf(Tgt[J]);
+      if (S == Scc || rowIndex(S) == rowIndex(Scc))
+        continue;
+      if (Forwards)
+        return fail(name("forwarding component", Scc) + " has a successor "
+                                                          "off its owner's "
+                                                          "row");
+      const uint64_t *RS = row(S);
+      for (uint32_t W = 0; W != WordsPerSet; ++W)
+        if (RS[W] & ~R[W])
+          return fail(name("component", Scc) + "'s row misses labels of "
+                                               "its successor " +
+                      name("component", S));
+    }
+  }
+  return Status::ok();
+}
+
 DenseBitset LabelSetKernel::labelsOfNode(uint32_t N) const {
   DenseBitset Out(F.numLabels());
   if (nodeComplete(N))
@@ -407,8 +489,8 @@ DenseBitset LabelSetKernel::labelsOfNode(uint32_t N) const {
 }
 
 DenseBitset LabelSetKernel::labelsOf(ExprId E) const {
-  uint32_t N = F.nodeOfExpr(E);
-  if (N == FrozenGraph::None)
-    return DenseBitset(F.numLabels());
-  return labelsOfNode(N);
+  DenseBitset Out(F.numLabels());
+  SetWords Row = labelWordsOf(E);
+  Out.orWords(Row.data(), Row.size());
+  return Out;
 }

@@ -187,6 +187,16 @@ public:
   /// `exprComplete(E)`; an incomplete query returns the empty set.
   DenseBitset labelsOf(ExprId E) const;
 
+  /// `labelsOf(E)` read in place: its component's row (`wordsPerSet()`
+  /// words, valid as long as the kernel), or an empty span when \p E has
+  /// no node or its row is not final yet.
+  SetWords labelWordsOf(ExprId E) const {
+    uint32_t N = F.nodeOfExpr(E);
+    if (N == FrozenGraph::None || !nodeComplete(N))
+      return {};
+    return rowSpan(Cond->sccOf(N));
+  }
+
   /// The label set reachable from node \p N (same completeness caveat).
   DenseBitset labelsOfNode(uint32_t N) const;
 
@@ -213,6 +223,14 @@ public:
 
   /// Milliseconds spent inside `run()` so far (summed across resumes).
   double closureMillis() const { return ClosureMs; }
+
+  /// Structural check of a complete matrix: the row map is a bijection
+  /// from non-forwarding components onto the rows, each forwarding
+  /// component shares exactly its owner's row, and each component's row
+  /// holds its own nodes' labels and every successor component's row.
+  /// Holds for an adopted snapshot matrix too.  Returns the first
+  /// violation as `Internal`, or `FailedPrecondition` before `complete()`.
+  Status verify() const;
 
 private:
   Status buildSchedule();

@@ -254,49 +254,98 @@ void QueryEngine::forEachShard(bool UsesScratch, ShardFn Shard) {
   Pool->parallelFor(NumThreads, Shard);
 }
 
-std::vector<DenseBitset>
-QueryEngine::labelsOfBatch(const std::vector<ExprId> &Es) {
+LabelRows QueryEngine::rowsOfBatch(const std::vector<ExprId> &Es,
+                                   const BatchControl *C, BatchOutcome *Out) {
   Span BatchSpan("query.batch.labels");
   BatchSpan.arg("items", Es.size());
   BatchSpan.arg("lanes", NumThreads);
+  LabelRows R;
+  R.Rows.resize(Es.size());
   // Above the threshold, one kernel closure is amortised across the
-  // whole batch and each answer is a row copy.  A kernel abort (only
-  // possible through injected faults on this ungoverned path) falls
-  // through to the per-query BFS below.
-  if (dispatchKernel(Es.size())) {
+  // whole batch and each answer is a pointer to its row.  The governed
+  // batch runs the closure under its own controls and then walks the
+  // items through `runGoverned`, so per-item governor semantics (poll
+  // between items, prefix Done flags, the query.batch-* fault sites) are
+  // identical to the BFS path.  A kernel abort (a real deadline/cancel,
+  // or an injected kernel fault) falls through to the per-query BFS: a
+  // real trigger re-fires on its first poll there, an injected kernel
+  // fault degrades to the slow path and the batch still completes.
+  const bool Kernel = C ? dispatchKernel(Es.size(), C->D, C->Token)
+                        : dispatchKernel(Es.size());
+  if (Kernel) {
     BatchSpan.arg("dispatch", "kernel");
     const LabelSetKernel &K = *Kern;
-    std::vector<DenseBitset> Out(Es.size());
-    auto CopyShard = [&](unsigned Lane, size_t Index) {
-      Shard Sh = shardOf(Es.size(), NumThreads, Index);
-      Span LaneSpan("query.lane");
-      LaneSpan.arg("lane", Lane);
-      LaneSpan.arg("items", Sh.End - Sh.Begin);
-      for (size_t I = Sh.Begin; I != Sh.End; ++I)
-        Out[I] = K.labelsOf(Es[I]);
-    };
-    forEachShard(false, CopyShard);
-    return Out;
+    if (C)
+      runGoverned(
+          Es.size(), *C, *Out,
+          [&](Scratch &, size_t I) { R.Rows[I] = K.labelWordsOf(Es[I]); },
+          /*UsesScratch=*/false);
+    else
+      for (size_t I = 0; I != Es.size(); ++I)
+        R.Rows[I] = K.labelWordsOf(Es[I]);
+    return R;
   }
 
   BatchSpan.arg("dispatch", "bfs");
   static Counter &BfsDispatch = counter("query.batch.bfs_dispatch");
   BfsDispatch.inc();
-  std::vector<DenseBitset> Out(Es.size());
-  auto RunShard = [&](unsigned Lane, size_t Index) {
-    Scratch &S = Lanes[Lane];
+  R.Owned.assign(Es.size(), DenseBitset(F.numLabels()));
+  auto Answer = [&](Scratch &S, size_t I) {
+    if (uint32_t Start = F.nodeOfExpr(Es[I]); Start != FrozenGraph::None)
+      R.Owned[I] = labelsFromNode(S, Start);
+    R.Rows[I] = R.Owned[I].words();
+  };
+  if (C) {
+    runGoverned(Es.size(), *C, *Out, Answer);
+    return R;
+  }
+  forEachShard(true, [&](unsigned Lane, size_t Index) {
     Shard Sh = shardOf(Es.size(), NumThreads, Index);
     Span LaneSpan("query.lane");
     LaneSpan.arg("lane", Lane);
     LaneSpan.arg("items", Sh.End - Sh.Begin);
+    for (size_t I = Sh.Begin; I != Sh.End; ++I)
+      Answer(Lanes[Lane], I);
+  });
+  return R;
+}
+
+std::vector<DenseBitset> QueryEngine::copySets(LabelRows &&Rows) {
+  if (Rows.Owned.size() == Rows.size())
+    return std::move(Rows.Owned);
+  std::vector<DenseBitset> Out(Rows.size());
+  forEachShard(false, [&](unsigned Lane, size_t Index) {
+    Shard Sh = shardOf(Rows.size(), NumThreads, Index);
+    Span LaneSpan("query.lane");
+    LaneSpan.arg("lane", Lane);
+    LaneSpan.arg("items", Sh.End - Sh.Begin);
     for (size_t I = Sh.Begin; I != Sh.End; ++I) {
-      uint32_t Start = F.nodeOfExpr(Es[I]);
-      Out[I] = Start == FrozenGraph::None ? DenseBitset(F.numLabels())
-                                          : labelsFromNode(S, Start);
+      Out[I] = DenseBitset(F.numLabels());
+      Out[I].orWords(Rows[I].data(), Rows[I].size());
     }
-  };
-  forEachShard(true, RunShard);
+  });
   return Out;
+}
+
+LabelRows QueryEngine::labelRowsOfBatch(const std::vector<ExprId> &Es) {
+  return rowsOfBatch(Es, nullptr, nullptr);
+}
+
+LabelRows QueryEngine::labelRowsOfBatch(const std::vector<ExprId> &Es,
+                                        const BatchControl &C,
+                                        BatchOutcome &Out) {
+  return rowsOfBatch(Es, &C, &Out);
+}
+
+std::vector<DenseBitset>
+QueryEngine::labelsOfBatch(const std::vector<ExprId> &Es) {
+  return copySets(labelRowsOfBatch(Es));
+}
+
+std::vector<DenseBitset>
+QueryEngine::labelsOfBatch(const std::vector<ExprId> &Es,
+                           const BatchControl &C, BatchOutcome &Out) {
+  return copySets(labelRowsOfBatch(Es, C, Out));
 }
 
 std::vector<char>
@@ -428,7 +477,8 @@ std::vector<DenseBitset> QueryEngine::allLabelSets(bool UseScc) {
 
 template <typename ItemFn>
 void QueryEngine::runGoverned(size_t N, const BatchControl &C,
-                              BatchOutcome &Out, ItemFn Item) {
+                              BatchOutcome &Out, ItemFn Item,
+                              bool UsesScratch) {
   Out.S = Status::ok();
   Out.Completed = 0;
   Out.Done.assign(N, 0);
@@ -461,46 +511,13 @@ void QueryEngine::runGoverned(size_t N, const BatchControl &C,
       Completed.fetch_add(1, std::memory_order_relaxed);
     }
   };
-  forEachShard(true, RunShard);
+  forEachShard(UsesScratch, RunShard);
   Out.Completed = Completed.load();
   static Counter &Items = counter("query.batch.items_completed");
   static Counter &Aborts = counter("query.batch.aborts");
   Items.add(Out.Completed);
   if (!Out.S.isOk())
     Aborts.inc();
-}
-
-std::vector<DenseBitset>
-QueryEngine::labelsOfBatch(const std::vector<ExprId> &Es,
-                           const BatchControl &C, BatchOutcome &Outcome) {
-  std::vector<DenseBitset> Out(Es.size(), DenseBitset(F.numLabels()));
-  Span BatchSpan("query.batch.labels");
-  BatchSpan.arg("items", Es.size());
-  BatchSpan.arg("lanes", NumThreads);
-  // Kernel path: run the closure under the batch's own controls, then
-  // materialise answers through `runGoverned`, so per-item governor
-  // semantics (poll-between-items, prefix Done flags, the query.batch-*
-  // fault sites) are identical to the BFS path.  If the kernel aborts —
-  // real deadline/cancel or an injected kernel fault — fall through to
-  // the governed per-query BFS: a real trigger re-fires on its first
-  // poll there (canonical partial result), an injected kernel fault
-  // degrades to the slow path and the batch still completes.
-  if (dispatchKernel(Es.size(), C.D, C.Token)) {
-    BatchSpan.arg("dispatch", "kernel");
-    const LabelSetKernel &K = *Kern;
-    runGoverned(Es.size(), C, Outcome,
-                [&](Scratch &, size_t I) { Out[I] = K.labelsOf(Es[I]); });
-    return Out;
-  }
-  BatchSpan.arg("dispatch", "bfs");
-  static Counter &BfsDispatch = counter("query.batch.bfs_dispatch");
-  BfsDispatch.inc();
-  runGoverned(Es.size(), C, Outcome, [&](Scratch &S, size_t I) {
-    uint32_t Start = F.nodeOfExpr(Es[I]);
-    if (Start != FrozenGraph::None)
-      Out[I] = labelsFromNode(S, Start);
-  });
-  return Out;
 }
 
 std::vector<char>

@@ -57,6 +57,29 @@ struct BatchOutcome {
   std::vector<char> Done;
 };
 
+/// One batch's label sets, read in place.  When the kernel served the
+/// batch, item I views its occurrence's kernel row (no copy; valid while
+/// the engine keeps that kernel); otherwise the view owns the per-query
+/// BFS answers.  An unanswered item (a governed batch that stopped
+/// early) or an occurrence without a node reads as the empty set.
+class LabelRows {
+public:
+  LabelRows() = default;
+  // Move-only: a copy's spans would point into the original's answers.
+  LabelRows(LabelRows &&) = default;
+  LabelRows &operator=(LabelRows &&) = default;
+  LabelRows(const LabelRows &) = delete;
+  LabelRows &operator=(const LabelRows &) = delete;
+
+  size_t size() const { return Rows.size(); }
+  SetWords operator[](size_t I) const { return Rows[I]; }
+
+private:
+  friend class QueryEngine;
+  std::vector<SetWords> Rows;
+  std::vector<DenseBitset> Owned; // the BFS answers `Rows` points into
+};
+
 /// Parallel batched reachability queries over a frozen graph.
 class QueryEngine {
 public:
@@ -121,7 +144,10 @@ public:
 
   //===--- batched queries (sharded across the pool) ----------------------//
 
-  /// `labelsOf` for every query in \p Es, in order.
+  /// `labelsOf` for every query in \p Es, in order, read in place.
+  LabelRows labelRowsOfBatch(const std::vector<ExprId> &Es);
+
+  /// `labelsOf` for every query in \p Es, in order: the rows, copied.
   std::vector<DenseBitset> labelsOfBatch(const std::vector<ExprId> &Es);
 
   /// `isLabelIn` for every (occurrence, label) pair, in order.
@@ -140,6 +166,10 @@ public:
   // batch returns partial results with \p Out explaining why; the
   // ungoverned overloads above compile to the same hot loops with zero
   // polling.
+
+  /// Governed `labelRowsOfBatch`: unanswered items read as empty sets.
+  LabelRows labelRowsOfBatch(const std::vector<ExprId> &Es,
+                             const BatchControl &C, BatchOutcome &Out);
 
   /// Governed `labelsOfBatch`: unanswered slots are empty sets.
   std::vector<DenseBitset> labelsOfBatch(const std::vector<ExprId> &Es,
@@ -204,10 +234,17 @@ private:
   template <typename ShardFn>
   void forEachShard(bool UsesScratch, ShardFn Shard);
   /// Shards \p N items across the lanes, invoking `Item(Scratch&, I)`
-  /// per item with a governor poll before each one.
+  /// per item with a governor poll before each one.  \p UsesScratch as
+  /// for `forEachShard`.
   template <typename ItemFn>
   void runGoverned(size_t N, const BatchControl &C, BatchOutcome &Out,
-                   ItemFn Item);
+                   ItemFn Item, bool UsesScratch = true);
+  /// The one `labelRowsOfBatch` loop; governed when \p C is non-null.
+  LabelRows rowsOfBatch(const std::vector<ExprId> &Es, const BatchControl *C,
+                        BatchOutcome *Out);
+  /// \p Rows as owned sets: the BFS answers moved out, or kernel rows
+  /// copied across the lanes.
+  std::vector<DenseBitset> copySets(LabelRows &&Rows);
   template <typename FnT>
   void forEachReachable(Scratch &S, uint32_t Start, FnT Fn);
   DenseBitset labelsFromNode(Scratch &S, uint32_t Start);

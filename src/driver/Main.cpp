@@ -802,8 +802,8 @@ std::vector<std::string> labelNames(const Module &M) {
 }
 
 /// The one `--query=all-labels` renderer, streaming to stdout under a
-/// `driver.render` span: a line per occurrence whose set was answered
-/// (\p SetOf returns null otherwise) and is non-empty.
+/// `driver.render` span: a line per occurrence whose set (\p SetOf
+/// returns its `SetWords`, empty when it was not answered) is non-empty.
 template <class SetOfFn, class ExprNameFn>
 void printAllLabels(std::vector<std::string> LabelNames, uint32_t NumExprs,
                     SetOfFn &&SetOf, ExprNameFn &&ExprName) {
@@ -813,21 +813,25 @@ void printAllLabels(std::vector<std::string> LabelNames, uint32_t NumExprs,
   W.flush();
   RenderSpan.arg("lines", W.lines());
   RenderSpan.arg("bytes", W.bytes());
+  RenderSpan.arg("sets_formatted", W.setsFormatted());
+  RenderSpan.arg("sets_reused", W.setsReused());
 }
 
 /// `--query=labels|all-labels` over \p P, live or snapshot-backed alike:
 /// the root's set, or one line per occurrence.  With an engine the
 /// all-labels sweep is one batched call, so it rides the label-set kernel
-/// above the dispatch threshold; under `--timeout-ms` the batch is
-/// governed (the engine polls \p D between shards and returns whatever
-/// completed).  Returns 3 when a governed batch stopped early, else 0.
+/// above the dispatch threshold and renders the kernel's rows in place;
+/// under `--timeout-ms` the batch is governed (the engine polls \p D
+/// between shards and returns whatever completed).  Returns 3 when a
+/// governed batch stopped early, else 0.
 template <class ExprNameFn>
 int printLabelSets(const Options &Opts, Pipeline &P,
                    std::vector<std::string> LabelNames, ExprId Root,
                    uint32_t NumExprs, const Deadline &D,
                    ExprNameFn &&ExprName) {
   if (Opts.Query == "labels") {
-    LabelSetWriter(stdout, std::move(LabelNames)).rootLine(P.labelsOf(Root));
+    LabelSetWriter(stdout, std::move(LabelNames))
+        .rootLine(P.labelsOf(Root).words());
     return 0;
   }
   QueryEngine *Engine = P.engine();
@@ -837,7 +841,7 @@ int printLabelSets(const Options &Opts, Pipeline &P,
         std::move(LabelNames), NumExprs,
         [&](uint32_t I) {
           Set = P.labelsOf(ExprId(I));
-          return &Set;
+          return Set.words();
         },
         ExprName);
     return 0;
@@ -847,18 +851,16 @@ int printLabelSets(const Options &Opts, Pipeline &P,
   for (uint32_t I = 0; I != NumExprs; ++I)
     Es.push_back(ExprId(I));
   BatchOutcome Outcome;
-  std::vector<DenseBitset> Sets;
+  LabelRows Rows;
   if (Opts.TimeoutMs >= 0) {
     BatchControl BC;
     BC.D = D;
-    Sets = Engine->labelsOfBatch(Es, BC, Outcome);
+    Rows = Engine->labelRowsOfBatch(Es, BC, Outcome);
   } else {
-    Sets = Engine->labelsOfBatch(Es);
-    Outcome.Done.assign(Es.size(), true);
+    Rows = Engine->labelRowsOfBatch(Es);
   }
   printAllLabels(
-      std::move(LabelNames), NumExprs,
-      [&](uint32_t I) { return Outcome.Done[I] ? &Sets[I] : nullptr; },
+      std::move(LabelNames), NumExprs, [&](uint32_t I) { return Rows[I]; },
       ExprName);
   if (Opts.TimeoutMs < 0 || Outcome.S.isOk())
     return 0;

@@ -21,9 +21,15 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace stcfa {
+
+/// A read-only view of a bitset's words: element I is bit I % 64 of word
+/// I / 64.  Bits past the span's end are clear, so an empty span is the
+/// empty set.  Kernel rows and `DenseBitset`s both hand out this view.
+using SetWords = std::span<const uint64_t>;
 
 /// Bitset over a fixed universe of dense indices.
 class DenseBitset {
@@ -98,6 +104,9 @@ public:
   uint32_t count() const { return Count; }
 
   bool empty() const { return Count == 0; }
+
+  /// The backing words, `⌈universe/64⌉` of them.
+  SetWords words() const { return Words; }
 
   /// Invokes \p Fn for each set bit in increasing order.
   template <typename FnT> void forEach(FnT Fn) const {

@@ -96,6 +96,12 @@ std::string differentialReportSource(const std::string &Tag,
   std::vector<DenseBitset> KernSets = Kern.labelsOfBatch(Es);
 
   std::string Report;
+  // The matrix's structure, checked apart from its answers: a kernel
+  // row the renderer reads in place must already be right.
+  if (const LabelSetKernel *K = Kern.kernel(); !K)
+    Report += Tag + ": kernel batch built no kernel\n";
+  else if (Status V = K->verify(); !V.isOk())
+    Report += Tag + ": kernel verify failed: " + V.toString() + "\n";
   unsigned Mismatches = 0;
   auto check = [&](const char *Engine, const DenseBitset &Got, uint32_t I) {
     const DenseBitset &Want = Std.labelSet(ExprId(I));

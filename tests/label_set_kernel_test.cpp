@@ -130,6 +130,7 @@ TEST(LabelSetKernel, MatchesBfsAndStandardCFAOverCorpus) {
     LabelSetKernel K(*B.F);
     ASSERT_TRUE(K.run().isOk()) << W.Name;
     ASSERT_TRUE(K.complete()) << W.Name;
+    EXPECT_TRUE(K.verify().isOk()) << W.Name << ": " << K.verify().toString();
 
     Reachability R(*B.G);
     StandardCFA Std(*B.M);
@@ -624,6 +625,108 @@ TEST(LabelSetKernelRowSharing, SnapshotOfSharingKernelAdoptsBitIdentical) {
 }
 
 //===----------------------------------------------------------------------===//
+// verify(): the matrix's structural invariants
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// \p K's rows tight-packed in component-id order: the layout a
+/// snapshot persists and `LabelSetKernel(F, Rows, Words)` adopts.
+std::vector<uint64_t> packedRows(const LabelSetKernel &K,
+                                 const FrozenGraph &F) {
+  std::vector<uint64_t> Rows;
+  for (uint32_t S = 0; S != F.condensation().numSccs(); ++S) {
+    std::span<const uint64_t> R = K.rowSpan(S);
+    Rows.insert(Rows.end(), R.begin(), R.end());
+  }
+  return Rows;
+}
+
+} // namespace
+
+TEST(LabelSetKernelVerify, HoldsOverEveryShapeFamily) {
+  for (int Sh = 0; Sh != NumCondShapes; ++Sh)
+    for (int N : {6, 40}) {
+      ShapeSpec Spec;
+      Spec.Shape = static_cast<CondShape>(Sh);
+      Spec.N = N;
+      Spec.Seed = 7;
+      const std::string Name = shapeSpecString(Spec);
+      Built B = build(shape(Name), CongruenceMode::None);
+      ASSERT_TRUE(B.M) << Name;
+      for (unsigned Lanes : {1u, 2u})
+        for (uint32_t ChunkRows : {1u, LabelSetKernel::DefaultChunkRows}) {
+          LabelSetKernel K(*B.F, Lanes);
+          K.setChunkRows(ChunkRows);
+          ASSERT_TRUE(K.run().isOk()) << Name;
+          Status S = K.verify();
+          EXPECT_TRUE(S.isOk()) << Name << " lanes " << Lanes << ": "
+                                << S.toString();
+          // The same rows adopted as a snapshot matrix: identity row
+          // map, no forwarding, same supersets.
+          std::vector<uint64_t> Rows = packedRows(K, *B.F);
+          LabelSetKernel Adopted(*B.F, Rows, K.wordsPerSet());
+          S = Adopted.verify();
+          EXPECT_TRUE(S.isOk()) << Name << " adopted: " << S.toString();
+        }
+    }
+}
+
+TEST(LabelSetKernelVerify, IncompleteKernelIsRefused) {
+  Built B = build(shape("deep:12"), CongruenceMode::None);
+  ASSERT_TRUE(B.M);
+  LabelSetKernel K(*B.F);
+  EXPECT_EQ(K.verify().code(), StatusCode::FailedPrecondition);
+  LabelSetKernel::Controls Expired;
+  Expired.D = Deadline::afterMillis(0);
+  ASSERT_FALSE(K.run(Expired).isOk());
+  EXPECT_EQ(K.verify().code(), StatusCode::FailedPrecondition);
+}
+
+TEST(LabelSetKernelVerify, ReportsBrokenAdoptedRows) {
+  Built B = build(shape("skewed:12"), CongruenceMode::None);
+  ASSERT_TRUE(B.M);
+  LabelSetKernel K(*B.F);
+  ASSERT_TRUE(K.run().isOk());
+  const FrozenGraph &F = *B.F;
+  const Condensation &C = F.condensation();
+  const uint32_t W = K.wordsPerSet();
+  ASSERT_GT(W, 0u);
+
+  // A component that reads a labelled successor loses that label.
+  uint32_t Pred = FrozenGraph::None, Label = FrozenGraph::None;
+  for (uint32_t N = 0; N != F.numNodes() && Pred == FrozenGraph::None; ++N)
+    for (uint32_t J = F.outOffsets()[N]; J != F.outOffsets()[N + 1]; ++J) {
+      uint32_t T = F.outTargets()[J];
+      if (F.labelArray()[T] != FrozenGraph::None &&
+          C.sccOf(T) != C.sccOf(N)) {
+        Pred = C.sccOf(N);
+        Label = F.labelArray()[T];
+        break;
+      }
+    }
+  ASSERT_NE(Pred, FrozenGraph::None);
+  std::vector<uint64_t> Rows = packedRows(K, F);
+  Rows[size_t(Pred) * W + Label / 64] &= ~(uint64_t(1) << (Label % 64));
+  Status S = LabelSetKernel(F, Rows, W).verify();
+  EXPECT_EQ(S.code(), StatusCode::Internal) << S.toString();
+
+  // Every row cleared: labelled components lack their own labels.
+  std::vector<uint64_t> Zero(Rows.size(), 0);
+  S = LabelSetKernel(F, Zero, W).verify();
+  EXPECT_EQ(S.code(), StatusCode::Internal) << S.toString();
+  EXPECT_NE(S.message().find("label"), std::string::npos) << S.toString();
+
+  // A bit past the last label would index past the label-name table.
+  if (F.numLabels() % 64 != 0) {
+    std::vector<uint64_t> Ghost = packedRows(K, F);
+    Ghost[W - 1] |= uint64_t(1) << 63;
+    S = LabelSetKernel(F, Ghost, W).verify();
+    EXPECT_EQ(S.code(), StatusCode::Internal) << S.toString();
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // QueryEngine dispatch
 //===----------------------------------------------------------------------===//
 
@@ -651,6 +754,55 @@ TEST(QueryEngineKernel, BatchAboveThresholdUsesKernelAndMatchesBfs) {
   // Point queries agree too (they never touch the kernel).
   for (uint32_t I = 0, E = B.M->numExprs(); I != E; ++I)
     ASSERT_TRUE(Kern.labelsOf(ExprId(I)) == Want[I]) << "expr " << I;
+}
+
+TEST(QueryEngineKernel, LabelRowsReadKernelRowsInPlace) {
+  Built B = build({"cubic:10", makeCubicFamily(10), true},
+                  CongruenceMode::None);
+  ASSERT_TRUE(B.M);
+  std::vector<ExprId> Es;
+  for (uint32_t I = 0, E = B.M->numExprs(); I != E; ++I)
+    Es.push_back(ExprId(I));
+  QueryEngine Kern(*B.F, 2);
+  Kern.setKernelThreshold(1);
+  QueryEngine Bfs(*B.F, 2);
+  Bfs.setKernelThreshold(0);
+
+  LabelRows Rows = Kern.labelRowsOfBatch(Es);
+  LabelRows BfsRows = Bfs.labelRowsOfBatch(Es);
+  std::vector<DenseBitset> Want = Bfs.labelsOfBatch(Es);
+  const LabelSetKernel *K = Kern.kernel();
+  ASSERT_NE(K, nullptr);
+  ASSERT_EQ(Rows.size(), Es.size());
+  ASSERT_EQ(BfsRows.size(), Es.size());
+  auto asSet = [&](SetWords W) {
+    DenseBitset S(B.F->numLabels());
+    S.orWords(W.data(), W.size());
+    return S;
+  };
+  uint32_t InPlace = 0;
+  for (size_t I = 0; I != Es.size(); ++I) {
+    ASSERT_TRUE(asSet(Rows[I]) == Want[I]) << "expr " << I;
+    ASSERT_TRUE(asSet(BfsRows[I]) == Want[I]) << "expr " << I;
+    if (B.F->nodeOfExpr(Es[I]) == FrozenGraph::None)
+      continue;
+    // The view is the kernel's own row, not a copy of it.
+    EXPECT_EQ(Rows[I].data(), K->labelWordsOf(Es[I]).data()) << "expr " << I;
+    ++InPlace;
+  }
+  EXPECT_GT(InPlace, 0u);
+
+  // Governed on the complete kernel with the deadline already passed:
+  // nothing is answered, and every row reads as the empty set.
+  BatchControl C;
+  C.D = Deadline::afterMillis(0);
+  BatchOutcome Out;
+  LabelRows Stopped = Kern.labelRowsOfBatch(Es, C, Out);
+  EXPECT_EQ(Out.S.code(), StatusCode::DeadlineExceeded);
+  EXPECT_EQ(Out.Completed, 0u);
+  ASSERT_EQ(Stopped.size(), Es.size());
+  for (size_t I = 0; I != Es.size(); ++I)
+    EXPECT_TRUE(Stopped[I].empty()) << "expr " << I;
 }
 
 TEST(QueryEngineKernel, SubThresholdBatchSkipsKernel) {

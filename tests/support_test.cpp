@@ -365,22 +365,36 @@ DenseBitset setOf(uint32_t Universe, std::initializer_list<uint32_t> Ls) {
 
 /// What `printf("%-18s %s\n", Expr, Set)` prints.
 std::string printfLine(const std::string &Expr, const std::string &Set) {
-  char Buf[256];
-  int N = std::snprintf(Buf, sizeof Buf, "%-18s %s\n", Expr.c_str(),
-                        Set.c_str());
-  return std::string(Buf, N);
+  int N = std::snprintf(nullptr, 0, "%-18s %s\n", Expr.c_str(), Set.c_str());
+  std::string Line(N + 1, '\0');
+  std::snprintf(Line.data(), Line.size(), "%-18s %s\n", Expr.c_str(),
+                Set.c_str());
+  Line.pop_back();
+  return Line;
+}
+
+/// `{name, ...}` of \p S over \p Names, built label by label.
+std::string braced(const std::vector<std::string> &Names,
+                   const DenseBitset &S) {
+  std::string Text = "{";
+  S.forEach([&](uint32_t L) {
+    Text += Text.size() > 1 ? ", " : "";
+    Text += Names[L];
+  });
+  return Text + "}";
 }
 
 /// Runs \p Body over a writer on a temporary file; returns the file's
 /// bytes once the writer is gone.
 template <class BodyFn>
-std::string writtenBy(std::vector<std::string> Names, BodyFn Body) {
+std::string writtenBy(std::vector<std::string> Names, BodyFn Body,
+                      size_t MemoBudget = LabelSetWriter::MemoBytes) {
   std::FILE *Tmp = std::tmpfile();
   EXPECT_NE(Tmp, nullptr);
   if (!Tmp)
     return "";
   {
-    LabelSetWriter W(Tmp, std::move(Names));
+    LabelSetWriter W(Tmp, std::move(Names), MemoBudget);
     Body(W);
   }
   std::string Out;
@@ -398,9 +412,9 @@ TEST(LabelSetWriter, ExprColumnMatchesPrintfPadding) {
   const std::string Long = "letrec@1234567(890:12)";  // 22 chars: no cut
   ASSERT_EQ(Exact.size(), LabelSetWriter::ExprColumn);
   std::string Got = writtenBy(namesUpTo(4), [&](LabelSetWriter &W) {
-    W.exprLine(Short, setOf(4, {1}));
-    W.exprLine(Exact, setOf(4, {0, 3}));
-    W.exprLine(Long, setOf(4, {2}));
+    W.exprLine(Short, setOf(4, {1}).words());
+    W.exprLine(Exact, setOf(4, {0, 3}).words());
+    W.exprLine(Long, setOf(4, {2}).words());
   });
   EXPECT_EQ(Got, printfLine(Short, "{a1}") + printfLine(Exact, "{a0, a3}") +
                      printfLine(Long, "{a2}"));
@@ -414,7 +428,7 @@ TEST(LabelSetWriter, AllLabelsSkipsEmptyAndUnansweredSets) {
   std::string Got = writtenBy(namesUpTo(3), [&](LabelSetWriter &W) {
     W.allLabels(
         4,
-        [&](uint32_t I) { return Answered[I] ? &Sets[I] : nullptr; },
+        [&](uint32_t I) { return Answered[I] ? Sets[I].words() : SetWords(); },
         [](uint32_t I) { return std::string("e").append(std::to_string(I)); });
     Lines = W.lines();
   });
@@ -424,15 +438,15 @@ TEST(LabelSetWriter, AllLabelsSkipsEmptyAndUnansweredSets) {
 
 TEST(LabelSetWriter, SetsSpanningSeveralWords) {
   std::string Got = writtenBy(namesUpTo(200), [](LabelSetWriter &W) {
-    W.exprLine("x", setOf(200, {199, 0, 64, 63, 130}));
+    W.exprLine("x", setOf(200, {199, 0, 64, 63, 130}).words());
   });
   EXPECT_EQ(Got, printfLine("x", "{a0, a63, a64, a130, a199}"));
 }
 
 TEST(LabelSetWriter, RootLine) {
   std::string Got = writtenBy(namesUpTo(70), [](LabelSetWriter &W) {
-    W.rootLine(setOf(70, {69, 5}));
-    W.rootLine(setOf(70, {}));
+    W.rootLine(setOf(70, {69, 5}).words());
+    W.rootLine(setOf(70, {}).words());
   });
   EXPECT_EQ(Got, "L(root) = {a5, a69}\nL(root) = {}\n");
 }
@@ -444,7 +458,7 @@ TEST(LabelSetWriter, OutputLargerThanABlockStaysInOrder) {
     for (uint32_t I = 0; I != 6000; ++I) {
       DenseBitset S = setOf(130, {I % 130, (I * 7) % 130});
       std::string Expr = std::string("e").append(std::to_string(I));
-      W.exprLine(Expr, S);
+      W.exprLine(Expr, S.words());
       std::string Set = "{";
       S.forEach([&](uint32_t L) {
         Set += Set.size() > 1 ? ", a" : "a";
@@ -457,6 +471,118 @@ TEST(LabelSetWriter, OutputLargerThanABlockStaysInOrder) {
   ASSERT_GT(Want.size(), 2 * LabelSetWriter::BlockBytes);
   EXPECT_EQ(Got, Want);
   EXPECT_EQ(Bytes, Want.size());
+}
+
+/// Writes `e<I>` lines for \p Sets in order and returns what printf
+/// would print, collecting the writer's memo counts.
+struct MemoRun {
+  std::string Got, Want;
+  uint64_t Formatted = 0, Reused = 0;
+};
+
+MemoRun writeSets(const std::vector<std::string> &Names,
+                  const std::vector<DenseBitset> &Sets,
+                  size_t MemoBudget = LabelSetWriter::MemoBytes) {
+  MemoRun R;
+  R.Got = writtenBy(
+      Names,
+      [&](LabelSetWriter &W) {
+        for (size_t I = 0; I != Sets.size(); ++I)
+          W.exprLine("e" + std::to_string(I), Sets[I].words());
+        R.Formatted = W.setsFormatted();
+        R.Reused = W.setsReused();
+      },
+      MemoBudget);
+  for (size_t I = 0; I != Sets.size(); ++I)
+    R.Want += printfLine("e" + std::to_string(I), braced(Names, Sets[I]));
+  return R;
+}
+
+TEST(LabelSetWriter, RepeatedSetIsFormattedOnce) {
+  std::vector<DenseBitset> Sets(50, setOf(8, {1, 3, 7}));
+  MemoRun R = writeSets(namesUpTo(8), Sets);
+  EXPECT_EQ(R.Got, R.Want);
+  EXPECT_EQ(R.Formatted, 1u);
+  EXPECT_EQ(R.Reused, 49u);
+}
+
+TEST(LabelSetWriter, EqualContentFromDistinctSourcesIsReused) {
+  // A bitset's words and a padded row holding the same labels (as a
+  // kernel row is padded to a cache line) are one set to the memo.
+  DenseBitset S = setOf(70, {2, 65});
+  const uint64_t Row[8] = {uint64_t(1) << 2, uint64_t(1) << 1, 0, 0, 0, 0, 0,
+                           0};
+  uint64_t Formatted = 0, Reused = 0;
+  std::string Got = writtenBy(namesUpTo(70), [&](LabelSetWriter &W) {
+    W.exprLine("bitset", S.words());
+    W.exprLine("row", SetWords(Row));
+    Formatted = W.setsFormatted();
+    Reused = W.setsReused();
+  });
+  EXPECT_EQ(Got, printfLine("bitset", "{a2, a65}") +
+                     printfLine("row", "{a2, a65}"));
+  EXPECT_EQ(Formatted, 1u);
+  EXPECT_EQ(Reused, 1u);
+}
+
+TEST(LabelSetWriter, InterleavedDistinctSetsKeepTheirOwnText) {
+  const DenseBitset A = setOf(5, {0}), B = setOf(5, {1, 4}),
+                    C = setOf(5, {0, 1, 2, 3, 4}), Empty = setOf(5, {});
+  std::vector<DenseBitset> Sets = {A, B, A, C, Empty, B, C, A, Empty, C};
+  MemoRun R = writeSets(namesUpTo(5), Sets);
+  EXPECT_EQ(R.Got, R.Want);
+  EXPECT_EQ(R.Formatted, 3u); // the empty set is never formatted
+  EXPECT_EQ(R.Reused, 5u);
+}
+
+TEST(LabelSetWriter, MultiWordSetsDifferingInOneWordAreDistinct) {
+  // Same first and last words, different middle word.
+  std::vector<DenseBitset> Sets = {
+      setOf(200, {0, 70, 199}), setOf(200, {0, 71, 199}),
+      setOf(200, {0, 70, 199}), setOf(200, {0, 199}),
+      setOf(200, {0, 71, 199})};
+  MemoRun R = writeSets(namesUpTo(200), Sets);
+  EXPECT_EQ(R.Got, R.Want);
+  EXPECT_EQ(R.Formatted, 3u);
+  EXPECT_EQ(R.Reused, 2u);
+}
+
+TEST(LabelSetWriter, SetTextLongerThanABlockIsReused) {
+  std::vector<std::string> Names;
+  for (uint32_t L = 0; L != 600; ++L)
+    Names.push_back("label_with_a_long_display_name_" + std::string(100, 'x') +
+                    std::to_string(L));
+  DenseBitset All(600);
+  for (uint32_t L = 0; L != 600; ++L)
+    All.insert(L);
+  ASSERT_GT(braced(Names, All).size(), LabelSetWriter::BlockBytes);
+  std::vector<DenseBitset> Sets = {All, setOf(600, {5}), All, All};
+  MemoRun R = writeSets(Names, Sets);
+  EXPECT_EQ(R.Got, R.Want);
+  EXPECT_EQ(R.Formatted, 2u);
+  EXPECT_EQ(R.Reused, 2u);
+}
+
+TEST(LabelSetWriter, MemoPastItsBudgetStillPrintsEverySet) {
+  // Room for the first set only: later distinct sets are formatted every
+  // time they recur, and the bytes do not change.
+  std::vector<DenseBitset> Sets;
+  for (uint32_t Round = 0; Round != 3; ++Round)
+    for (uint32_t L = 0; L != 10; ++L)
+      Sets.push_back(setOf(10, {L}));
+  const size_t OneEntry = 100; // an entry here costs about 60 bytes
+  MemoRun Small = writeSets(namesUpTo(10), Sets, OneEntry);
+  EXPECT_EQ(Small.Got, Small.Want);
+  EXPECT_EQ(Small.Reused, 2u);     // only {a0} was stored
+  EXPECT_EQ(Small.Formatted, 28u); // every other line formatted again
+  MemoRun None = writeSets(namesUpTo(10), Sets, 0);
+  EXPECT_EQ(None.Got, None.Want);
+  EXPECT_EQ(None.Formatted, 30u);
+  EXPECT_EQ(None.Reused, 0u);
+  MemoRun Full = writeSets(namesUpTo(10), Sets);
+  EXPECT_EQ(Full.Got, Full.Want);
+  EXPECT_EQ(Full.Formatted, 10u);
+  EXPECT_EQ(Full.Reused, 20u);
 }
 
 } // namespace
